@@ -102,7 +102,7 @@ def _fraction(value, what: str) -> Fraction:
         if isinstance(value, float):
             return Fraction(value)
         return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
 
 

@@ -1,10 +1,20 @@
 """Dense operator arithmetic in two scalar modes.
 
-Exact mode stores matrices as numpy object arrays of fractions.Fraction, so
-every identity that holds does so bit-for-bit; float mode stores float64 (or
-complex128 where a computation is intrinsically complex).  All operators are
-immutable after construction: the backing arrays are marked non-writeable and
-every operation allocates a fresh result, which keeps concurrent readers safe.
+Exact mode stores a matrix as a numpy object array of Python ints, its
+numerators, over one positive int denominator shared by every entry.  The
+pair is kept in lowest terms after every operation: the gcd of the
+denominator and all numerators is 1, so the zero matrix has denominator 1
+and two equal matrices have identical numerators and denominators.  A
+product is one integer `np.dot` of the numerators over the product of the
+denominators; a sum brings both operands to the lcm of their denominators.
+Every identity that holds therefore does so bit-for-bit.  The `data` view of
+an exact operator is the matrix of `fractions.Fraction` entries, built on
+first use.
+
+Float mode stores float64 (or complex128 where a computation is intrinsically
+complex).  All operators are immutable after construction: the backing arrays
+are marked non-writeable and every operation allocates a fresh result, which
+keeps concurrent readers safe.
 """
 from __future__ import annotations
 
@@ -51,34 +61,60 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError("non-finite value in float-mode operator")
 
 
-class Operator:
-    """Immutable dense square matrix over Fraction or float64/complex128."""
+def _over_lcm(entries: Sequence[Fraction], n: int) -> tuple[np.ndarray, int]:
+    """n x n int numerators over the lcm of the entries' denominators."""
+    den = math.lcm(*(f.denominator for f in entries))
+    num = np.array([f.numerator * (den // f.denominator) for f in entries], dtype=object)
+    return num.reshape(n, n), den
 
-    __slots__ = ("data", "mode")
+
+class Operator:
+    """Immutable dense square matrix: ints over one denominator, or float64/complex128.
+
+    In exact mode `_arr` holds the int numerators and `denominator` the shared
+    positive denominator; in float mode `_arr` is the float array itself and
+    `denominator` is None.
+    """
+
+    __slots__ = ("_arr", "denominator", "_view", "mode")
 
     def __init__(self, data: np.ndarray, mode: str, _trusted: bool = False):
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
-        if _trusted:
-            self.data = data
-        else:
+        if mode == EXACT or not _trusted:
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise DimensionMismatchError(f"operator must be square, got shape {data.shape}")
-            if mode == EXACT:
-                out = np.empty(data.shape, dtype=object)
-                for i in range(data.shape[0]):
-                    for j in range(data.shape[1]):
-                        out[i, j] = _exact_entry(data[i, j])
-                data = out
+        if mode == EXACT:
+            self._set_exact(*_over_lcm([_exact_entry(x) for x in data.flat], data.shape[0]))
+            return
+        if not _trusted:
+            if np.iscomplexobj(data):
+                data = np.asarray(data, dtype=np.complex128)
             else:
-                if np.iscomplexobj(data):
-                    data = np.asarray(data, dtype=np.complex128)
-                else:
-                    data = np.asarray(data, dtype=np.float64)
-                _check_finite(data)
+                data = np.asarray(data, dtype=np.float64)
+            _check_finite(data)
             data.setflags(write=False)
-            self.data = data
+        self._arr = data
+        self.denominator = None
         self.mode = mode
+
+    def _set_exact(self, num: np.ndarray, den: int) -> None:
+        """Store num/den, reduced by the gcd of den and all of num."""
+        g = math.gcd(den, *num.flat)
+        if g != 1:
+            num = num // g
+            den //= g
+        num.setflags(write=False)
+        self._arr = num
+        self.denominator = den
+        self._view = None
+        self.mode = EXACT
+
+    @classmethod
+    def _exact(cls, num: np.ndarray, den: int) -> "Operator":
+        op = object.__new__(cls)
+        op._set_exact(num, den)
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -88,38 +124,30 @@ class Operator:
         if any(len(r) != n for r in rows):
             raise DimensionMismatchError("operator must be square")
         if mode == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            for i, row in enumerate(rows):
-                for j, x in enumerate(row):
-                    arr[i, j] = _exact_entry(x)
+            return cls._exact(*_over_lcm([_exact_entry(x) for row in rows for x in row], n))
+        if any(isinstance(x, complex) for row in rows for x in row):
+            arr = np.array(rows, dtype=np.complex128)
         else:
-            if any(isinstance(x, complex) for row in rows for x in row):
-                arr = np.array(rows, dtype=np.complex128)
-            else:
-                arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
-            _check_finite(arr)
+            arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        _check_finite(arr)
         arr.setflags(write=False)
         return cls(arr, mode, _trusted=True)
 
     @classmethod
     def zero(cls, n: int, mode: str) -> "Operator":
         if mode == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[:] = Fraction(0)
-        else:
-            arr = np.zeros((n, n), dtype=np.float64)
+            return cls._exact(np.zeros((n, n), dtype=object), 1)
+        arr = np.zeros((n, n), dtype=np.float64)
         arr.setflags(write=False)
         return cls(arr, mode, _trusted=True)
 
     @classmethod
     def identity(cls, n: int, mode: str) -> "Operator":
         if mode == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[:] = Fraction(0)
-            for i in range(n):
-                arr[i, i] = Fraction(1)
-        else:
-            arr = np.eye(n, dtype=np.float64)
+            num = np.zeros((n, n), dtype=object)
+            np.fill_diagonal(num, 1)
+            return cls._exact(num, 1)
+        arr = np.eye(n, dtype=np.float64)
         arr.setflags(write=False)
         return cls(arr, mode, _trusted=True)
 
@@ -129,47 +157,73 @@ class Operator:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"unit index ({i},{j}) outside dimension {n}")
         if mode == EXACT:
-            arr = np.empty((n, n), dtype=object)
-            arr[:] = Fraction(0)
-            arr[i, j] = Fraction(1)
-        else:
-            arr = np.zeros((n, n), dtype=np.float64)
-            arr[i, j] = 1.0
+            num = np.zeros((n, n), dtype=object)
+            num[i, j] = 1
+            return cls._exact(num, 1)
+        arr = np.zeros((n, n), dtype=np.float64)
+        arr[i, j] = 1.0
         arr.setflags(write=False)
         return cls(arr, mode, _trusted=True)
 
     @classmethod
     def diag(cls, entries: Sequence[ScalarLike], mode: str = EXACT) -> "Operator":
         n = len(entries)
-        op = cls.zero(n, mode).data.copy()
+        if mode == EXACT:
+            return cls.from_rows(
+                [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)], EXACT
+            )
+        op = np.zeros((n, n), dtype=np.float64)
         for i, x in enumerate(entries):
-            op[i, i] = _exact_entry(x) if mode == EXACT else float(x)
+            op[i, i] = float(x)
         op.setflags(write=False)
         return cls(op, mode, _trusted=True)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        """The entries: the float array, or a read-only Fraction view in exact mode."""
+        if self.mode == FLOAT:
+            return self._arr
+        if self._view is None:
+            den = self.denominator
+            view = np.frompyfunc(lambda x: Fraction(x, den), 1, 1)(self._arr)
+            view.setflags(write=False)
+            self._view = view
+        return self._view
+
+    @property
+    def numerators(self) -> np.ndarray:
+        """Exact mode only: the read-only int numerators over `denominator`."""
+        if self.mode != EXACT:
+            raise ModeMismatchError("numerators exist in exact mode only")
+        return self._arr
+
+    @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self._arr.shape[0]
 
     def entry(self, i: int, j: int):
-        return self.data[i, j]
+        if self.mode == EXACT:
+            return Fraction(self._arr[i, j], self.denominator)
+        return self._arr[i, j]
 
     def rows(self) -> list[list]:
         return [list(r) for r in self.data]
 
     def is_zero(self) -> bool:
         if self.mode == EXACT:
-            return all(x == 0 for x in self.data.flat)
-        return not self.data.any()
+            return not any(self._arr.flat)
+        return not self._arr.any()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
         if self.mode != other.mode or self.dim != other.dim:
             return False
-        return bool((self.data == other.data).all())
+        if self.denominator != other.denominator:
+            return False
+        return bool((self._arr == other._arr).all())
 
     def __hash__(self):
         raise TypeError("operators are not hashable")
@@ -186,42 +240,53 @@ class Operator:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def _wrap(self, arr: np.ndarray) -> "Operator":
-        if self.mode == FLOAT:
-            _check_finite(arr)
+        _check_finite(arr)
         arr.setflags(write=False)
-        return Operator(arr, self.mode, _trusted=True)
+        return Operator(arr, FLOAT, _trusted=True)
+
+    def _common(self, other: "Operator") -> tuple[np.ndarray, np.ndarray, int]:
+        """Both numerator arrays over the lcm of the two denominators."""
+        da, db = self.denominator, other.denominator
+        if da == db:
+            return self._arr, other._arr, da
+        den = math.lcm(da, db)
+        return self._arr * (den // da), other._arr * (den // db), den
 
     def __add__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        return self._wrap(self.data + other.data)
+        if self.mode == EXACT:
+            a, b, den = self._common(other)
+            return Operator._exact(a + b, den)
+        return self._wrap(self._arr + other._arr)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        return self._wrap(self.data - other.data)
+        if self.mode == EXACT:
+            a, b, den = self._common(other)
+            return Operator._exact(a - b, den)
+        return self._wrap(self._arr - other._arr)
 
     def __neg__(self) -> "Operator":
-        return self._wrap(-self.data)
+        if self.mode == EXACT:
+            return Operator._exact(-self._arr, self.denominator)
+        return self._wrap(-self._arr)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        # np.dot supports object dtype; matmul does too on current numpy,
-        # dot is kept for clarity that both paths share one code route
-        return self._wrap(np.dot(self.data, other.data))
+        if self.mode == EXACT:
+            return Operator._exact(
+                np.dot(self._arr, other._arr), self.denominator * other.denominator
+            )
+        return self._wrap(np.dot(self._arr, other._arr))
 
     def scale(self, s: ScalarLike) -> "Operator":
         if self.mode == EXACT:
             c = _exact_entry(s)
-            out = np.empty(self.data.shape, dtype=object)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    out[i, j] = c * self.data[i, j]
-            return self._wrap(out)
+            return Operator._exact(self._arr * c.numerator, self.denominator * c.denominator)
         if isinstance(s, Fraction):
             s = float(s)
-        arr = self.data * s
-        if np.iscomplexobj(arr) and not np.iscomplexobj(self.data):
-            pass  # complex scalar promotes a real operator; allowed in float mode
-        return self._wrap(arr)
+        # a complex scalar promotes a real operator; allowed in float mode
+        return self._wrap(self._arr * s)
 
     def __mul__(self, s: ScalarLike) -> "Operator":
         return self.scale(s)
@@ -233,10 +298,9 @@ class Operator:
     def to_float(self) -> "Operator":
         if self.mode == FLOAT:
             return self
-        arr = np.array([[float(x) for x in row] for row in self.data], dtype=np.float64)
-        _check_finite(arr)
-        arr.setflags(write=False)
-        return Operator(arr, FLOAT, _trusted=True)
+        # int / int true division is correctly rounded, as float(Fraction) is
+        arr = np.array(self._arr / self.denominator, dtype=np.float64)
+        return self._wrap(arr)
 
     def real_part(self) -> "Operator":
         if self.mode == EXACT or not np.iscomplexobj(self.data):
@@ -289,11 +353,15 @@ def _rational_sqrt_upper(f: Fraction) -> Fraction:
     return Fraction(math.isqrt(p * q) + 1, q)
 
 
+def _square_sum(a: Operator) -> int:
+    """Sum of the squared numerators of an exact operator."""
+    flat = a.numerators.ravel()
+    return int(np.dot(flat, flat))
+
+
 def norm_bound(a: Operator) -> NormBound:
     if a.mode == EXACT:
-        sq = Fraction(0)
-        for x in a.data.flat:
-            sq += x * x
+        sq = Fraction(_square_sum(a), a.denominator * a.denominator)
         root = _rational_sqrt_upper(sq)
         return NormBound(value=float(root), exact_square=sq, root_upper=root)
     val = float(np.sqrt((abs(a.data) ** 2).sum()))
@@ -303,10 +371,8 @@ def norm_bound(a: Operator) -> NormBound:
 def frobenius(a: Operator) -> float:
     """Convenience float Frobenius norm (upper bound in exact mode)."""
     if a.mode == EXACT:
-        sq = Fraction(0)
-        for x in a.data.flat:
-            sq += x * x
-        return math.sqrt(float(sq))
+        # correctly rounded, so equal to float() of the reduced Fraction
+        return math.sqrt(_square_sum(a) / (a.denominator * a.denominator))
     return float(np.sqrt((abs(a.data) ** 2).sum()))
 
 

@@ -69,7 +69,6 @@ class VerificationReport:
     records: tuple[CheckRecord, ...] = ()
     scenario: Optional[dict] = None
     tool_version: str = TOOL_VERSION
-    duration_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         self.records = tuple(self.records)
@@ -112,8 +111,6 @@ def render_text(report: VerificationReport) -> str:
             f"  residual={r.residual:.6e}  bound={r.bound:.6e}  :: {r.equation}"
             + (f"  ({r.detail})" if r.detail else "")
         )
-    if rep.duration_seconds is not None:
-        lines.append(f"elapsed: {rep.duration_seconds:.3f}s")
     lines.append("RESULT: " + ("PASS" if rep.all_passed() else "FAIL"))
     return "\n".join(lines) + "\n"
 
@@ -121,8 +118,8 @@ def render_text(report: VerificationReport) -> str:
 def render_structured(report: VerificationReport) -> str:
     """Deterministic JSON rendering.
 
-    Wall-clock timing is deliberately omitted so that identical runs emit
-    byte-identical documents; the text rendering carries the timing instead.
+    No wall-clock timing is recorded, so identical runs emit byte-identical
+    documents.
     """
     rep = report.sorted()
     doc = {
@@ -168,5 +165,4 @@ def parse_structured(text: str) -> VerificationReport:
         records=records,
         scenario=doc.get("scenario"),
         tool_version=doc.get("tool_version", TOOL_VERSION),
-        duration_seconds=None,
     )

@@ -224,3 +224,17 @@ def test_scenario_override_seed(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["scenario"]["seed"] == 99
+
+
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_main_rejects_non_finite_matrix_entry(tmp_path, capsys, entry):
+    # json reads Infinity and 1e400 as float('inf'), which Fraction refuses
+    # with OverflowError rather than ValueError
+    path = tmp_path / "s.json"
+    path.write_text(
+        '{"name": "x", "instance": {"operators": {'
+        f'"L": [[{entry}, 0], [0, 1]], "M0": [[0, 0], [0, 0]], "P0": [[0, 0], [0, 0]]'
+        "}}}"
+    )
+    assert main(["verify", str(path)]) == 2
+    assert "operators.L: not a rational number" in capsys.readouterr().err

@@ -211,3 +211,80 @@ def test_frobenius_float_matches_numpy():
 def test_operator_exp_requires_float():
     with pytest.raises(ModeMismatchError):
         operator_exp(Operator.identity(2, EXACT))
+
+
+# -- differential test of the exact backend against per-entry Fractions ---------
+
+entry_fraction = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
+scalar_fraction = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=5),
+)
+
+
+@st.composite
+def rational_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    square = st.lists(st.lists(entry_fraction, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+def _ref_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def _assert_matches(op, ref):
+    """op equals the Fraction matrix ref, and its storage is in lowest terms."""
+    den, nums = op.denominator, list(op.numerators.flat)
+    assert all(type(x) is int for x in nums)
+    assert type(den) is int and den >= 1
+    assert math.gcd(den, *nums) == 1
+    if all(x == 0 for row in ref for x in row):
+        assert den == 1 and op.is_zero()
+    else:
+        assert not op.is_zero()
+    n = len(ref)
+    assert op.dim == n
+    for i in range(n):
+        for j in range(n):
+            assert op.entry(i, j) == ref[i][j]
+            assert op.to_float().entry(i, j) == float(ref[i][j])
+    assert op.rows() == ref
+    assert op.to_jsonable() == [[str(x) for x in row] for row in ref]
+    assert op == Operator.from_rows(ref, EXACT)
+    assert op == Operator(np.array(ref, dtype=object), EXACT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_pair(), scalar_fraction)
+def test_exact_backend_matches_fraction_reference(pair, s):
+    ra, rb = pair
+    a, b = Operator.from_rows(ra, EXACT), Operator.from_rows(rb, EXACT)
+    n = len(ra)
+    _assert_matches(a, ra)
+    _assert_matches(b, rb)
+    _assert_matches(a + b, [[ra[i][j] + rb[i][j] for j in range(n)] for i in range(n)])
+    _assert_matches(a - b, [[ra[i][j] - rb[i][j] for j in range(n)] for i in range(n)])
+    _assert_matches(-a, [[-x for x in row] for row in ra])
+    _assert_matches(a @ b, _ref_matmul(ra, rb))
+    _assert_matches(a.scale(s), [[s * x for x in row] for row in ra])
+    _assert_matches(a.scale(-s), [[-s * x for x in row] for row in ra])
+    assert (a == b) == (ra == rb)
+
+    square = sum((x * x for row in ra for x in row), Fraction(0))
+    assert frobenius(a) == math.sqrt(float(square))
+    nb = norm_bound(a)
+    assert nb.exact_square == square
+    root = Fraction(math.isqrt(square.numerator * square.denominator) + 1, square.denominator)
+    assert nb.root_upper == (root if square else 0)
+    assert nb.value == float(nb.root_upper)
+
+
+def test_exact_scale_by_zero_and_negative_ratio():
+    a = Operator.from_rows([["1/2", "-3"], ["5/7", 0]], EXACT)
+    zero = a.scale(0)
+    assert zero == Operator.zero(2, EXACT) and zero.denominator == 1
+    neg = a.scale(Fraction(-14, 3))
+    assert neg.entry(0, 0) == Fraction(-7, 3) and neg.entry(1, 0) == Fraction(-10, 3)
+    assert neg.denominator == 3
