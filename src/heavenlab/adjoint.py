@@ -1,33 +1,23 @@
 """The adjoint action ad_L[A] = [L, A] and its exponential.
 
-AdjointContext caches powers of a fixed L (guarded by a lock so contexts can
-be shared between threads).  Iterated and binomial evaluations of ad_L^n are
-kept as two genuinely different code paths; their exact-mode agreement is one
-of the package's self-checks.
+AdjointContext caches powers of a fixed L.  Iterated and binomial
+evaluations of ad_L^n are kept as two genuinely different code paths; their
+exact-mode agreement is one of the package's self-checks.
 """
 from __future__ import annotations
 
 import math
-import threading
 from typing import Literal
 
-from .opcore import (
-    EXACT,
-    FLOAT,
-    ModeMismatchError,
-    Operator,
-    commutator,
-    frobenius,
-)
+from .opcore import FLOAT, ModeMismatchError, Operator, commutator, frobenius
 
 
 class AdjointContext:
-    """Fixed operator L with a lazily extended, lock-protected power cache."""
+    """Fixed operator L with a lazily extended power cache."""
 
     def __init__(self, L: Operator):
         self.L = L
         self._powers: list[Operator] = [Operator.identity(L.dim, L.mode), L]
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -41,15 +31,9 @@ class AdjointContext:
         """L^j, cached."""
         if j < 0:
             raise ValueError("negative power")
-        with self._lock:
-            while len(self._powers) <= j:
-                self._powers.append(self._powers[-1] @ self.L)
-            return self._powers[j]
-
-    def to_float(self) -> "AdjointContext":
-        if self.mode == FLOAT:
-            return self
-        return AdjointContext(self.L.to_float())
+        while len(self._powers) <= j:
+            self._powers.append(self._powers[-1] @ self.L)
+        return self._powers[j]
 
 
 def ad_apply(ctx: AdjointContext, a: Operator) -> Operator:
@@ -133,26 +117,3 @@ def bch_conjugate(ctx: AdjointContext, a0: Operator, t: float, tol: float = 1e-1
     right = operator_exp(itL.scale(-1.0), tol)
     return left @ a0 @ right
 
-
-def harmonic_solution(
-    ctx: AdjointContext, a0: Operator, b0: Operator, t: float, degree: int
-) -> Operator:
-    """Truncated e^{i t ad_L}[A0] + e^{-i t ad_L}[B0].
-
-    Solves the harmonic operator system S_tt + ad_L^2[S] = 0 up to series
-    truncation.
-    """
-    if degree < 2:
-        raise ValueError("degree must be >= 2")
-    if ctx.mode != FLOAT or a0.mode != FLOAT or b0.mode != FLOAT:
-        raise ModeMismatchError("harmonic_solution requires float mode")
-    acc = Operator.zero(ctx.dim, FLOAT)
-    cur_a, cur_b = a0, b0
-    coeff = complex(1.0)
-    for n in range(degree + 1):
-        if n > 0:
-            cur_a = commutator(ctx.L, cur_a)
-            cur_b = commutator(ctx.L, cur_b)
-            coeff = coeff * (1j * t) / n
-        acc = acc + cur_a.scale(coeff) + cur_b.scale(coeff.conjugate())
-    return acc

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .opcore import (
     DimensionMismatchError,
     ModeMismatchError,
     Operator,
-    commutator,
     frobenius,
-    norm_bound,
     operator_exp,
 )
 from .report import VerificationReport, make_record
@@ -97,11 +95,6 @@ class OperatorSeries:
             return self.coeffs[j]
         return Operator.zero(self.dim, self.mode)
 
-    @classmethod
-    def zero(cls, dim: int, mode: str, degree: int = 0, **kw) -> "OperatorSeries":
-        z = Operator.zero(dim, mode)
-        return cls([z] * (degree + 1), **kw)
-
     def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
         d = min(self.degree, other.degree)
         return OperatorSeries([self.coeffs[j] + other.coeffs[j] for j in range(d + 1)])
@@ -116,9 +109,6 @@ class OperatorSeries:
     def lmul(self, op: Operator) -> "OperatorSeries":
         """op * series, coefficient-wise."""
         return OperatorSeries([op @ c for c in self.coeffs])
-
-    def rmul(self, op: Operator) -> "OperatorSeries":
-        return OperatorSeries([c @ op for c in self.coeffs])
 
     def map_coeffs(self, f: Callable[[Operator], Operator]) -> "OperatorSeries":
         return OperatorSeries([f(c) for c in self.coeffs])
@@ -147,11 +137,6 @@ class OperatorSeries:
         return max(frobenius(self.coeffs[j]) for j in range(hi + 1))
 
 
-def series_derivative(s: OperatorSeries) -> OperatorSeries:
-    """Formal d/dt, degree D -> D-1."""
-    return s.derivative()
-
-
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     """Horner evaluation at t (Fraction in exact mode, float otherwise)."""
     if s.mode == EXACT and not isinstance(t, (int, Fraction)):
@@ -164,12 +149,19 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     return acc, tail
 
 
-def _bessel_coefficient(j: int, m: int) -> Fraction:
-    """Exact scalar (-1)^j / (j! (j+m)! 2^{m+2j}) for m >= 0."""
-    q = Fraction(
-        (-1) ** j, math.factorial(j) * math.factorial(j + m) * 2 ** (m + 2 * j)
-    )
-    return q
+def bessel_terms(m: int, D: int) -> Iterator[tuple[int, Fraction]]:
+    """(deg, q) with J_m(tX) = sum q t^deg X^deg, for deg <= D, ascending deg.
+
+    At deg = |m| + 2j, q = (-1)^j / (j! (j+|m|)! 2^deg), times (-1)^m when
+    m < 0 (J_{-k} = (-1)^k J_k).  Empty when D < |m|.
+    """
+    ma = abs(m)
+    sign = -1 if (m < 0 and ma % 2 == 1) else 1
+    for deg in range(ma, D + 1, 2):
+        j = (deg - ma) // 2
+        yield deg, Fraction(
+            sign * (-1) ** j, math.factorial(j) * math.factorial(deg - j) * 2**deg
+        )
 
 
 def scalar_bessel_majorant(r: float, m: int, from_j: int = 0) -> float:
@@ -243,7 +235,6 @@ def bessel_series(
     mode = X.mode
     n = X.dim
     ma = abs(m)
-    sign = -1 if (m < 0 and ma % 2 == 1) else 1
     zero = Operator.zero(n, mode)
     if D < ma:
         s = OperatorSeries(
@@ -257,15 +248,8 @@ def bessel_series(
     while len(powers) <= D:
         powers.append(powers[-1] @ X)
     coeffs: list[Operator] = [zero] * (D + 1)
-    j = 0
-    while ma + 2 * j <= D:
-        q = _bessel_coefficient(j, ma) * sign
-        deg = ma + 2 * j
-        if mode == EXACT:
-            coeffs[deg] = powers[deg].scale(q)
-        else:
-            coeffs[deg] = powers[deg].scale(float(q))
-        j += 1
+    for deg, q in bessel_terms(m, D):
+        coeffs[deg] = powers[deg].scale(q if mode == EXACT else float(q))
     return OperatorSeries(coeffs, tail_fn=_make_bessel_tail_fn(X, m, D))
 
 
@@ -284,25 +268,14 @@ def bessel_eval(
     """J_m(tX) evaluated directly at numeric t from cached powers of X.
 
     Used by the bilateral-sum solution where building full series objects for
-    every index would repeat work.  Summation is in ascending j, matching the
-    series construction.
+    every index would repeat work.  Summation is in ascending degree, matching
+    the series construction.
     """
-    n = X_powers[0].dim
-    ma = abs(m)
-    sign = -1 if (m < 0 and ma % 2 == 1) else 1
-    D = len(X_powers) - 1
-    acc = Operator.zero(n, mode)
+    acc = Operator.zero(X_powers[0].dim, mode)
     if mode == EXACT and not isinstance(t, (int, Fraction)):
         t = Fraction(t)
-    j = 0
-    while ma + 2 * j <= D:
-        deg = ma + 2 * j
-        q = _bessel_coefficient(j, ma) * sign
-        if mode == EXACT:
-            acc = acc + X_powers[deg].scale(q * t**deg)
-        else:
-            acc = acc + X_powers[deg].scale(float(q) * t**deg)
-        j += 1
+    for deg, q in bessel_terms(m, len(X_powers) - 1):
+        acc = acc + X_powers[deg].scale(q * t**deg if mode == EXACT else float(q) * t**deg)
     return acc
 
 

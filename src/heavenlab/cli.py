@@ -58,43 +58,8 @@ from .report import (
     render_text,
 )
 
-SUITES = (
-    "bessel-recurrences",
-    "ode-residuals",
-    "solution-equivalence",
-    "bch",
-    "prolongation",
-    "initial-conditions",
-    "scalar-reduction",
-    "eds-proposition1",
-    "eds-closure",
-    "eds-constraints",
-    "compatibility",
-)
-
-# suites that run without operator initial data
-INSTANCE_FREE = ("scalar-reduction", "eds-proposition1", "eds-closure")
-
-
 class ScenarioError(Exception):
     """Scenario file is syntactically or semantically invalid."""
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    instance_spec: Optional[dict]
-    mode: str = EXACT
-    degree: int = 16
-    cutoff: int = 8
-    t_samples: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
-    u_samples: tuple[float, ...] = (-2.0, -1.0, 0.0)
-    k_range: tuple[int, int] = (-4, 4)
-    seed: int = 2026
-    suites: tuple[str, ...] = SUITES
-    scalar: Optional[dict] = None
-    sections: tuple = ()
-    closure_cap: int = 3
 
 
 def _fraction(value, what: str) -> Fraction:
@@ -104,6 +69,15 @@ def _fraction(value, what: str) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; an integral float such as 16.0 also counts, a bool does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _operator(rows, what: str) -> Operator:
@@ -162,28 +136,33 @@ def parse_scenario(text: str) -> Scenario:
     mode = doc.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise ScenarioError(f"mode must be 'exact' or 'float', got {mode!r}")
-    degree = int(doc.get("degree", 16))
+    degree = _integer(doc.get("degree", 16), "degree")
     if degree < 4:
         raise ScenarioError("degree must be >= 4")
-    cutoff = int(doc.get("cutoff", 8))
+    cutoff = _integer(doc.get("cutoff", 8), "cutoff")
     if cutoff < 1:
         raise ScenarioError("cutoff must be >= 1")
+    closure_cap = _integer(doc.get("closure_cap", 3), "closure_cap")
+    if closure_cap < 1:
+        raise ScenarioError("closure_cap must be >= 1")
     t_samples = tuple(
         _fraction(v, "t_samples") for v in doc.get("t_samples", ["1/2", "1", "2"])
     )
     if any(t <= 0 for t in t_samples):
         raise ScenarioError("t_samples must be positive")
-    u_samples = tuple(float(v) for v in doc.get("u_samples", [-2, -1, 0]))
-    k_raw = doc.get("k_range", [-4, 4])
-    if (
-        not isinstance(k_raw, list)
-        or len(k_raw) != 2
-        or not all(isinstance(k, int) for k in k_raw)
-        or k_raw[0] > k_raw[1]
+    u_raw = doc.get("u_samples", [-2, -1, 0])
+    if not isinstance(u_raw, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in u_raw
     ):
+        raise ScenarioError(f"u_samples must be a list of numbers, got {u_raw!r}")
+    u_samples = tuple(float(v) for v in u_raw)
+    k_raw = doc.get("k_range", [-4, 4])
+    if not isinstance(k_raw, list) or len(k_raw) != 2:
         raise ScenarioError("k_range must be [lo, hi] with integer lo <= hi")
-    k_range = (k_raw[0], k_raw[1])
-    seed = int(doc.get("seed", 2026))
+    k_range = (_integer(k_raw[0], "k_range"), _integer(k_raw[1], "k_range"))
+    if k_range[0] > k_range[1]:
+        raise ScenarioError("k_range must be [lo, hi] with integer lo <= hi")
+    seed = _integer(doc.get("seed", 2026), "seed")
     instance_spec = doc.get("instance")
     if instance_spec is not None:
         if not isinstance(instance_spec, dict):
@@ -225,7 +204,7 @@ def parse_scenario(text: str) -> Scenario:
         suites=suites,
         scalar=scalar,
         sections=tuple(sections),
-        closure_cap=int(doc.get("closure_cap", 3)),
+        closure_cap=closure_cap,
     )
 
 
@@ -257,14 +236,10 @@ def _mode_instance(sc: Scenario, inst: ProlongationInstance) -> ProlongationInst
     return inst if sc.mode == EXACT else inst.to_float()
 
 
-def _fmt_t(t: Fraction) -> str:
-    return str(t)
-
-
 # -- suite runners ------------------------------------------------------------
 
 
-def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+def _run_bessel(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
     mi = _mode_instance(sc, inst)
     k_lo, k_hi = sc.k_range
     reports = [
@@ -277,7 +252,7 @@ def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
         resid, bound = sum_rule_residual(mi.L, tv, sc.cutoff, sc.degree)
         records.append(
             make_record(
-                f"sum-rule[t={_fmt_t(t)}]",
+                f"sum-rule[t={t}]",
                 "bessel-recurrences",
                 "sum_{|m|<=K} J_m(tL) = 1",
                 resid,
@@ -289,7 +264,7 @@ def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     return merge_reports("bessel-recurrences", reports)
 
 
-def _run_ode(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+def _run_ode(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
     mi = _mode_instance(sc, inst)
     sol = solution_cal_form(mi, sc.degree)
     twoL = 2.0 * frobenius(mi.L)
@@ -325,7 +300,7 @@ def _run_ode(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     return VerificationReport(name="ode-residuals", records=tuple(records))
 
 
-def _run_equivalence(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+def _run_equivalence(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
     mi = _mode_instance(sc, inst)
     sol = solution_cal_form(mi, sc.degree)
     nL = frobenius(mi.L)
@@ -354,7 +329,7 @@ def _run_equivalence(sc: Scenario, inst: ProlongationInstance) -> VerificationRe
         ):
             records.append(
                 make_record(
-                    f"{label}-route[t={_fmt_t(t)}]",
+                    f"{label}-route[t={t}]",
                     "solution-equivalence",
                     f"{label}: adjoint-series route = bilateral-sum route",
                     frobenius(cal_val - l_val),
@@ -365,7 +340,7 @@ def _run_equivalence(sc: Scenario, inst: ProlongationInstance) -> VerificationRe
     return VerificationReport(name="solution-equivalence", records=tuple(records))
 
 
-def _run_bch(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+def _run_bch(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
     fi = inst.to_float()
     ctx = AdjointContext(fi.L)
     nL = frobenius(fi.L)
@@ -382,7 +357,7 @@ def _run_bch(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
             ) * math.exp(min(2 * r, 700.0))
             records.append(
                 make_record(
-                    f"bch-{label}[t={_fmt_t(t)}]",
+                    f"bch-{label}[t={t}]",
                     "bch",
                     "exp(it ad_L)[A] = exp(itL) A exp(-itL)",
                     frobenius(s - c),
@@ -393,14 +368,14 @@ def _run_bch(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     return VerificationReport(name="bch", records=tuple(records))
 
 
-def _run_prolongation(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+def _run_prolongation(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
     return merge_reports(
         "prolongation",
         [prolongation_residual(inst, u, sc.degree) for u in sc.u_samples],
     )
 
 
-def _run_scalar(sc: Scenario) -> VerificationReport:
+def _run_scalar(sc: Scenario, inst, rng) -> VerificationReport:
     params = sc.scalar or {}
     omega = _fraction(params.get("omega", 1), "scalar.omega")
     p0 = _fraction(params.get("p0", 1), "scalar.p0")
@@ -420,7 +395,7 @@ def _run_scalar(sc: Scenario) -> VerificationReport:
         chi_op = m0 * v0.entry(0, 0)
         records.append(
             make_record(
-                f"kappa[t={_fmt_t(t)}]",
+                f"kappa[t={t}]",
                 "scalar-reduction",
                 "p0 (t/2) J_1(t w) = 1x1 operator route",
                 abs(float(kappa - kappa_op)),
@@ -430,7 +405,7 @@ def _run_scalar(sc: Scenario) -> VerificationReport:
         )
         records.append(
             make_record(
-                f"chi[t={_fmt_t(t)}]",
+                f"chi[t={t}]",
                 "scalar-reduction",
                 "m0 J_0(t w) = 1x1 operator route",
                 abs(float(chi - chi_op)),
@@ -448,7 +423,7 @@ _DEFAULT_SECTIONS = (
 )
 
 
-def _run_proposition1(sc: Scenario, rng: random.Random) -> VerificationReport:
+def _run_proposition1(sc: Scenario, inst, rng: random.Random) -> VerificationReport:
     specs = list(sc.sections) if sc.sections else list(_DEFAULT_SECTIONS)
     reports = []
     for i, spec in enumerate(specs):
@@ -471,38 +446,54 @@ def _prefix_records(rep: VerificationReport, tag: str) -> VerificationReport:
     return dataclasses.replace(rep, records=records)
 
 
-def _run_constraints(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
-    return constraint_residuals(inst, u_samples=sc.u_samples, D=sc.degree)
+# suite -> (needs operator initial data, runner(sc, inst, rng)), in the order
+# a default run uses and every report echoes
+_SUITE_TABLE = {
+    "bessel-recurrences": (True, _run_bessel),
+    "ode-residuals": (True, _run_ode),
+    "solution-equivalence": (True, _run_equivalence),
+    "bch": (True, _run_bch),
+    "prolongation": (True, _run_prolongation),
+    "initial-conditions": (
+        True,
+        lambda sc, inst, rng: initial_condition_check(_mode_instance(sc, inst), sc.degree),
+    ),
+    "scalar-reduction": (False, _run_scalar),
+    "eds-proposition1": (False, _run_proposition1),
+    "eds-closure": (False, lambda sc, inst, rng: closure_check(cap=sc.closure_cap)),
+    "eds-constraints": (
+        True,
+        lambda sc, inst, rng: constraint_residuals(inst, u_samples=sc.u_samples, D=sc.degree),
+    ),
+    "compatibility": (True, lambda sc, inst, rng: compatibility_check(inst)),
+}
+SUITES = tuple(_SUITE_TABLE)
+INSTANCE_FREE = tuple(s for s, (needs, _) in _SUITE_TABLE.items() if not needs)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    instance_spec: Optional[dict]
+    mode: str = EXACT
+    degree: int = 16
+    cutoff: int = 8
+    t_samples: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
+    u_samples: tuple[float, ...] = (-2.0, -1.0, 0.0)
+    k_range: tuple[int, int] = (-4, 4)
+    seed: int = 2026
+    suites: tuple[str, ...] = SUITES
+    scalar: Optional[dict] = None
+    sections: tuple = ()
+    closure_cap: int = 3
 
 
 def run_suite(
     sc: Scenario, suite: str, inst: Optional[ProlongationInstance]
 ) -> VerificationReport:
-    rng = random.Random(_suite_seed(sc.seed, suite))
-    if suite in INSTANCE_FREE:
-        if suite == "scalar-reduction":
-            return _run_scalar(sc)
-        if suite == "eds-proposition1":
-            return _run_proposition1(sc, rng)
-        return closure_check(cap=sc.closure_cap)
-    assert inst is not None
-    if suite == "bessel-recurrences":
-        return _run_bessel(sc, inst)
-    if suite == "ode-residuals":
-        return _run_ode(sc, inst)
-    if suite == "solution-equivalence":
-        return _run_equivalence(sc, inst)
-    if suite == "bch":
-        return _run_bch(sc, inst)
-    if suite == "prolongation":
-        return _run_prolongation(sc, inst)
-    if suite == "initial-conditions":
-        return initial_condition_check(_mode_instance(sc, inst), sc.degree)
-    if suite == "eds-constraints":
-        return _run_constraints(sc, inst)
-    if suite == "compatibility":
-        return compatibility_check(inst)
-    raise ValueError(f"unknown suite {suite!r}")
+    needs_instance, runner = _SUITE_TABLE[suite]
+    assert inst is not None or not needs_instance
+    return runner(sc, inst, random.Random(_suite_seed(sc.seed, suite)))
 
 
 def run_scenario(sc: Scenario, only: Optional[Sequence[str]] = None) -> VerificationReport:

@@ -27,14 +27,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .opcore import EXACT, FLOAT, Operator, commutator, frobenius
+from .opcore import FLOAT, Operator, commutator, frobenius
 from .prolong import (
-    HeavenlyVariable,
     ProlongationInstance,
-    _cal_derivative_tail,
+    eval_at_u,
+    hfg_at,
     solution_cal_form,
+    structure_bounds,
 )
-from .besselop import EPS, series_eval
+from .besselop import EPS
 from .report import VerificationReport, info_record, make_record
 
 Monomial = tuple[tuple[str, int], ...]
@@ -848,70 +849,7 @@ def closure_check(cap: int = 3) -> VerificationReport:
     return VerificationReport(name="eds-closure", records=tuple(records))
 
 
-# -- prolongation 2-forms and the constraint system --------------------------
-
-
-def _operator_rows_exact(op: Operator) -> list[list[Fraction]]:
-    if op.mode == EXACT:
-        return [[Fraction(x) for x in row] for row in op.data]
-    return [[Fraction(float(x)) for x in row] for row in op.data]
-
-
-def prolongation_forms(
-    H: Operator, F: Operator, G: Operator, A: Operator, B: Operator
-) -> list[DifferentialForm]:
-    """The N prolongation 2-forms for linear pseudopotential fields:
-
-        Omega^k = H^k dx^dy + F^k dx^dz + G^k dy^dz
-                  + A^k_m dxi^m ^ dx + B^k_m dxi^m ^ dz + dxi^k ^ dy
-
-    with H^k = H_{km} xi^m etc.  Operator entries are taken exactly (floats
-    are binary rationals).
-    """
-    n = H.dim
-    ring = base_ring(n_xi=n)
-    Hr, Fr, Gr, Ar, Br = (
-        _operator_rows_exact(op) for op in (H, F, G, A, B)
-    )
-    xi = [ring.var(f"xi{m+1}") for m in range(n)]
-
-    def linear(rows: list[list[Fraction]], k: int) -> Coefficient:
-        acc = ring.zero()
-        for m in range(n):
-            if rows[k][m]:
-                acc = acc + xi[m].scale(rows[k][m])
-        return acc
-
-    out = []
-    for k in range(n):
-        omega = (
-            form_from_wedge(ring, ("x", "y"), linear(Hr, k))
-            + form_from_wedge(ring, ("x", "z"), linear(Fr, k))
-            + form_from_wedge(ring, ("y", "z"), linear(Gr, k))
-        )
-        for m in range(n):
-            if Ar[k][m]:
-                omega = omega + form_from_wedge(ring, (f"xi{m+1}", "x"), Ar[k][m])
-            if Br[k][m]:
-                omega = omega + form_from_wedge(ring, (f"xi{m+1}", "z"), Br[k][m])
-        omega = omega + form_from_wedge(ring, (f"xi{k+1}", "y"))
-        out.append(omega)
-    return out
-
-
-def _hfg_at(
-    fi: ProlongationInstance,
-    hv: HeavenlyVariable,
-    P: Operator,
-    M: Operator,
-    u_x: float,
-    u_y: float,
-    u_z: float,
-) -> tuple[Operator, Operator, Operator]:
-    H = fi.L.scale(hv.exp_u * u_z) + P
-    F = fi.L.scale(-u_y) + fi.N
-    G = fi.L.scale(u_x) + M
-    return H, F, G
+# -- the constraint system of the prolongation ansatz -----------------------
 
 
 def constraint_residuals(
@@ -947,22 +885,17 @@ def constraint_residuals(
 
     sol = solution_cal_form(fi, D)
     for u in u_samples:
-        hv = HeavenlyVariable.from_u(u)
-        P, p_tb = series_eval(sol.p, hv.t)
-        M, m_tb = series_eval(sol.m, hv.t)
-        Pt, _ = series_eval(sol.p.derivative(), hv.t)
-        Mt, _ = series_eval(sol.m.derivative(), hv.t)
-        Pu = Pt.scale(hv.half_t)
-        Mu = Mt.scale(hv.half_t)
+        pt = eval_at_u(fi, sol, u)
+        hv, P, M, Pu, Mu = pt[:5]
         eu = hv.exp_u
         rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
             1.0, frobenius(P) + frobenius(M) + frobenius(fi.N) + 1.0
         ) * max(1.0, hv.t) ** D
         # slope-derivative structure (exact FD; the dependence is linear)
-        H0, F0, G0 = _hfg_at(fi, hv, P, M, 0.0, 0.0, 0.0)
-        Hx, Fx, Gx = _hfg_at(fi, hv, P, M, 1.0, 0.0, 0.0)
-        Hy, Fy, Gy = _hfg_at(fi, hv, P, M, 0.0, 1.0, 0.0)
-        Hz, Fz, Gz = _hfg_at(fi, hv, P, M, 0.0, 0.0, 1.0)
+        H0, F0, G0 = hfg_at(fi, hv, P, M, 0.0, 0.0, 0.0)
+        Hx, Fx, Gx = hfg_at(fi, hv, P, M, 1.0, 0.0, 0.0)
+        Hy, Fy, Gy = hfg_at(fi, hv, P, M, 0.0, 1.0, 0.0)
+        Hz, Fz, Gz = hfg_at(fi, hv, P, M, 0.0, 0.0, 1.0)
         H_ux, H_uy, H_uz = Hx - H0, Hy - H0, Hz - H0
         F_ux, F_uy, F_uz = Fx - F0, Fy - F0, Fz - F0
         G_ux, G_uy, G_uz = Gx - G0, Gy - G0, Gz - G0
@@ -984,20 +917,12 @@ def constraint_residuals(
         ):
             record_sample(cid, frobenius(mat), rough, f"u={u:g}")
 
-        # tails for the structure equation bound
-        twoL = 2.0 * nL
-        p_tail, m_tail = p_tb.value, m_tb.value
-        rr = hv.t * twoL / 2.0
-        dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, frobenius(fi.P0), twoL, hv.t)
-        dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, frobenius(fi.M0), twoL, hv.t)
-        b1 = hv.half_t * dp_tail + eu * 2 * nL * m_tail + rough
-        b2 = hv.half_t * dm_tail + 2 * nL * p_tail + rough
-        b3 = 2 * (frobenius(M) * p_tail + frobenius(P) * m_tail + p_tail * m_tail) + rough
+        b1, b2, b3 = structure_bounds(pt, nL, rough)
 
         for ux in slope_values:
             for uy in slope_values:
                 for uz in slope_values:
-                    H, Fm, G = _hfg_at(fi, hv, P, M, ux, uy, uz)
+                    H, Fm, G = hfg_at(fi, hv, P, M, ux, uy, uz)
                     Hu = L.scale(eu * uz) + Pu
                     Fu = Operator.zero(n, FLOAT)
                     Gu = Mu

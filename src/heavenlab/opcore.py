@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -301,20 +301,6 @@ class Operator:
         # int / int true division is correctly rounded, as float(Fraction) is
         arr = np.array(self._arr / self.denominator, dtype=np.float64)
         return self._wrap(arr)
-
-    def real_part(self) -> "Operator":
-        if self.mode == EXACT or not np.iscomplexobj(self.data):
-            return self
-        arr = np.ascontiguousarray(self.data.real)
-        arr.setflags(write=False)
-        return Operator(arr, FLOAT, _trusted=True)
-
-    def imag_part(self) -> "Operator":
-        if self.mode == EXACT or not np.iscomplexobj(self.data):
-            return Operator.zero(self.dim, self.mode)
-        arr = np.ascontiguousarray(self.data.imag)
-        arr.setflags(write=False)
-        return Operator(arr, FLOAT, _trusted=True)
 
     def to_jsonable(self) -> list[list]:
         if self.mode == EXACT:

@@ -27,17 +27,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple
 
 from .adjoint import AdjointContext, ad_apply
 from .besselop import (
     EPS,
     OperatorSeries,
-    TailBound,
-    _bessel_coefficient,
     bessel_eval,
     bessel_tail,
-    bilateral_tail,
+    bessel_terms,
     scalar_bessel_majorant,
     series_eval,
 )
@@ -65,7 +63,9 @@ __all__ = [
     "compatibility_check",
     "initial_condition_check",
     "scalar_reduction",
-    "build_HFG",
+    "eval_at_u",
+    "structure_bounds",
+    "hfg_at",
     "catalog_names",
     "catalog_instance",
 ]
@@ -122,16 +122,6 @@ class ProlongationInstance:
             B=self.B.to_float(),
         )
 
-    def operators(self) -> dict[str, Operator]:
-        return {
-            "L": self.L,
-            "M0": self.M0,
-            "P0": self.P0,
-            "N": self.N,
-            "A": self.A,
-            "B": self.B,
-        }
-
 
 @dataclass(frozen=True)
 class HeavenlyVariable:
@@ -149,12 +139,6 @@ class HeavenlyVariable:
     def from_u(cls, u: float) -> "HeavenlyVariable":
         s = math.exp(u / 2.0)
         return cls(u=float(u), t=2.0 * s)
-
-    @classmethod
-    def from_t(cls, t: float) -> "HeavenlyVariable":
-        if not t > 0:
-            raise ValueError("t must be positive")
-        return cls(u=2.0 * math.log(t / 2.0), t=float(t))
 
     @property
     def exp_u(self) -> float:
@@ -191,12 +175,8 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
     tower = _ad_tower(ctx, A, D)
     zero = Operator.zero(n, mode)
     coeffs = [zero] * (D + 1)
-    m = 0
-    while nu + 2 * m <= D:
-        q = _bessel_coefficient(m, nu)
-        deg = nu + 2 * m
+    for deg, q in bessel_terms(nu, D):
         coeffs[deg] = tower[deg].scale(q if mode == EXACT else float(q))
-        m += 1
     twoL = 2.0 * frobenius(ctx.L)
     nA = frobenius(A)
 
@@ -358,10 +338,6 @@ def ode_residual_bound(
     return tail + horner
 
 
-def ode_tail_bounds_notes() -> str:
-    return "bounds = ODE-form truncation tail + computed roundoff majorant"
-
-
 def prolongation_residual(
     inst: ProlongationInstance, u: float, D: int
 ) -> VerificationReport:
@@ -372,36 +348,19 @@ def prolongation_residual(
     nilpotent fixture cancels exactly in float arithmetic.
     """
     fi = inst.to_float()
-    hv = HeavenlyVariable.from_u(u)
-    sol = solution_cal_form(fi, D)
-    t = hv.t
-    P, p_tb = series_eval(sol.p, t)
-    M, m_tb = series_eval(sol.m, t)
-    Pt, _ = series_eval(sol.p.derivative(), t)
-    Mt, _ = series_eval(sol.m.derivative(), t)
-    half_t = hv.half_t
-    Pu = Pt.scale(half_t)
-    Mu = Mt.scale(half_t)
-    eu = hv.exp_u
-    L = fi.L
+    pt = eval_at_u(fi, solution_cal_form(fi, D), u)
+    hv, P, M, Pu, Mu = pt[:5]
+    t, eu, L = hv.t, hv.exp_u, fi.L
 
     r1 = Pu - commutator(L, M).scale(eu)
     r2 = Mu + commutator(L, P)
     r3 = commutator(M, P)
 
-    # derivative-series tails: term-wise differentiated majorants
-    twoL = 2.0 * frobenius(L)
-    rr = t * twoL / 2.0
-    np0, nm0 = frobenius(fi.P0), frobenius(fi.M0)
-    dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, np0, twoL, t)
-    dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, nm0, twoL, t)
-    p_tail, m_tail = p_tb.value, m_tb.value
     nL = frobenius(L)
+    np0, nm0 = frobenius(fi.P0), frobenius(fi.M0)
     nM, nP = frobenius(M), frobenius(P)
     rough = 64.0 * EPS * (D + 2) * max(1.0, nL) * max(1.0, nM + nP, np0 + nm0) * max(1.0, t) ** D
-    b1 = half_t * dp_tail + eu * 2 * nL * m_tail + rough
-    b2 = half_t * dm_tail + 2 * nL * p_tail + rough
-    b3 = 2 * (nM * p_tail + nP * m_tail + p_tail * m_tail) + rough
+    b1, b2, b3 = structure_bounds(pt, nL, rough)
 
     mk = lambda cid, eq, res, bnd: make_record(
         cid, "prolongation", eq, res, bnd, detail=f"u={u:g}, t={t:.6g}, degree {D}"
@@ -412,6 +371,42 @@ def prolongation_residual(
         mk("commutation", "[M, P] = 0", frobenius(r3), 10 * b3),
     )
     return VerificationReport(name=f"prolongation:{inst.name}@u={u:g}", records=records)
+
+
+def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> tuple:
+    """(hv, P, M, Pu, Mu, p_tail, m_tail, dp_tail, dm_tail) at t = 2 e^{u/2}.
+
+    Float mode.  u-derivatives use the chain rule P_u = (t/2) P_t on the
+    formal derivative series; each tail bounds the truncation of the value
+    before it, the derivative tails by term-wise differentiated majorants.
+    """
+    hv = HeavenlyVariable.from_u(u)
+    t = hv.t
+    P, p_tb = series_eval(sol.p, t)
+    M, m_tb = series_eval(sol.m, t)
+    Pt, _ = series_eval(sol.p.derivative(), t)
+    Mt, _ = series_eval(sol.m.derivative(), t)
+    twoL = 2.0 * frobenius(fi.L)
+    rr = t * twoL / 2.0
+    dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, frobenius(fi.P0), twoL, t)
+    dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, frobenius(fi.M0), twoL, t)
+    Pu, Mu = Pt.scale(hv.half_t), Mt.scale(hv.half_t)
+    return hv, P, M, Pu, Mu, p_tb.value, m_tb.value, dp_tail, dm_tail
+
+
+def structure_bounds(pt: tuple, nL: float, rough: float) -> tuple[float, float, float]:
+    """Truncation bounds b1, b2, b3 on the residuals of
+
+        P_u - e^u [L, M],   M_u + [L, P],   [M, P]
+
+    at the point `pt` of `eval_at_u`, each plus the caller's roundoff
+    allowance `rough`.
+    """
+    hv, P, M, _, _, p_tail, m_tail, dp_tail, dm_tail = pt
+    b1 = hv.half_t * dp_tail + hv.exp_u * 2 * nL * m_tail + rough
+    b2 = hv.half_t * dm_tail + 2 * nL * p_tail + rough
+    b3 = 2 * (frobenius(M) * p_tail + frobenius(P) * m_tail + p_tail * m_tail) + rough
+    return b1, b2, b3
 
 
 def _cal_derivative_tail(
@@ -506,18 +501,10 @@ def scalar_reduction(omega, p0, m0, t, D: int):
     tw = tf * w
     for _ in range(D):
         x_pow.append(x_pow[-1] * tw)
-    # _bessel_coefficient carries the (1/2)^{deg} factor, so pairing it with
-    # plain x^deg monomials reproduces the classical (x/2)-power series
-    j0 = Fraction(0)
-    m = 0
-    while 2 * m <= D:
-        j0 += _bessel_coefficient(m, 0) * x_pow[2 * m]
-        m += 1
-    j1 = Fraction(0)
-    m = 0
-    while 1 + 2 * m <= D:
-        j1 += _bessel_coefficient(m, 1) * x_pow[1 + 2 * m]
-        m += 1
+    # bessel_terms carries the (1/2)^{deg} factor, so pairing it with plain
+    # x^deg monomials reproduces the classical (x/2)-power series
+    j0 = sum((q * x_pow[deg] for deg, q in bessel_terms(0, D)), Fraction(0))
+    j1 = sum((q * x_pow[deg] for deg, q in bessel_terms(1, D)), Fraction(0))
     kappa = p0f * (tf / 2) * j1
     chi = m0f * j0
     if wants_float:
@@ -525,25 +512,21 @@ def scalar_reduction(omega, p0, m0, t, D: int):
     return kappa, chi
 
 
-def build_HFG(
-    inst: ProlongationInstance,
-    u: float,
+def hfg_at(
+    fi: ProlongationInstance,
+    hv: HeavenlyVariable,
+    P: Operator,
+    M: Operator,
     u_x: float,
     u_y: float,
     u_z: float,
-    D: int,
-):
+) -> tuple[Operator, Operator, Operator]:
     """The three 2-form coefficient matrices of the prolongation ansatz:
 
         H = e^u u_z L + P(u),  F = -u_y L + N,  G = u_x L + M(u)
 
-    evaluated at t = 2 e^{u/2} from the cal-form series, float mode.
+    at the point hv, given P(u) and M(u) there.
     """
-    fi = inst.to_float()
-    hv = HeavenlyVariable.from_u(u)
-    sol = solution_cal_form(fi, D)
-    P, _ = series_eval(sol.p, hv.t)
-    M, _ = series_eval(sol.m, hv.t)
     H = fi.L.scale(hv.exp_u * u_z) + P
     F = fi.L.scale(-u_y) + fi.N
     G = fi.L.scale(u_x) + M

@@ -9,7 +9,7 @@ are reported but never gate a run, e.g. the open spectral-problem residuals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 TOOL_VERSION = "0.1.0"

@@ -1,4 +1,5 @@
 """Operator Bessel series: frozen coefficients, scipy oracle, recurrences."""
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from heavenlab.besselop import (
     bessel_eval,
     bessel_series,
     bessel_tail,
+    bessel_terms,
     bilateral_tail,
     check_recurrence,
     generating_oracle,
@@ -66,6 +68,29 @@ def test_frozen_coefficient_table():
             elif (deg - abs(m)) % 2:
                 # off-parity degrees never appear
                 assert got == 0, (m, deg)
+
+
+@pytest.mark.parametrize("m", range(-6, 7))
+def test_bessel_terms_closed_form(m):
+    ma = abs(m)
+    for D in range(13):
+        # J_m(x) = sum_j (-1)^j (x/2)^{|m|+2j} / (j! (j+|m|)!), and J_{-k} = (-1)^k J_k
+        want = [
+            (
+                ma + 2 * j,
+                Fraction(
+                    (-1) ** j * (-1) ** (ma if m < 0 else 0),
+                    2 ** (ma + 2 * j) * math.factorial(j) * math.factorial(j + ma),
+                ),
+            )
+            for j in range(13)
+            if ma + 2 * j <= D
+        ]
+        assert list(bessel_terms(m, D)) == want, (m, D)
+    # D < |m| leaves nothing; odd negative m flips the leading sign
+    assert list(bessel_terms(m, ma - 1)) == []
+    if m < 0 and m % 2:
+        assert next(bessel_terms(m, 12))[1] < 0
 
 
 def test_one_by_one_matches_scipy_jv():

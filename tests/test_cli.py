@@ -179,6 +179,47 @@ def test_main_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", str(xfail)]) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("u_samples", ["x"]),
+        ("u_samples", [True]),
+        ("u_samples", 0),
+        ("degree", "abc"),
+        ("degree", True),
+        ("degree", 16.5),
+        ("cutoff", "8"),
+        ("cutoff", False),
+        ("seed", "s"),
+        ("seed", 1.5),
+        ("k_range", [True, 2]),
+        ("k_range", [-1, 2.5]),
+        ("closure_cap", True),
+        ("closure_cap", "3"),
+    ],
+)
+def test_main_rejects_mistyped_scenario_value(tmp_path, capsys, key, value):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**HEIS, "suites": ["compatibility"], key: value}))
+    assert main(["verify", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_main_rejects_closure_cap_below_one(tmp_path, capsys, cap):
+    # a cap below 1 would leave the witness search too short to find d theta4,
+    # turning the eds-closure gate into info records
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "x", "closure_cap": cap}))
+    assert main(["verify", str(path)]) == 2
+    assert "closure_cap must be >= 1" in capsys.readouterr().err
+
+
+def test_parse_accepts_integral_float_for_integer_keys():
+    sc = parse_scenario(json.dumps({"name": "x", "degree": 12.0, "seed": 5.0}))
+    assert sc.degree == 12 and isinstance(sc.degree, int) and sc.seed == 5
+
+
 def test_main_verify_missing_file():
     assert main(["verify", "/does/not/exist.json"]) == 2
 

@@ -18,12 +18,11 @@ from heavenlab.eds import (
     ideal_membership,
     one_form,
     parse_polynomial,
-    prolongation_forms,
     random_section,
     wedge,
 )
 from heavenlab.opcore import Operator
-from heavenlab.prolong import build_HFG, catalog_instance
+from heavenlab.prolong import catalog_instance
 
 R = base_ring()
 
@@ -256,27 +255,7 @@ def test_parse_polynomial_round_trip():
     assert pp == want
 
 
-# -- prolongation 2-forms and constraints ---------------------------------------------
-
-
-def test_prolongation_forms_match_builders():
-    inst = catalog_instance("heisenberg3").to_float()
-    H, F, G = build_HFG(inst, 0.0, 0.25, -0.5, 1.0, 12)
-    forms = prolongation_forms(H, F, G, inst.A, inst.B)
-    ring = forms[0].ring
-    assert len(forms) == 3
-    for k, om in enumerate(forms):
-        # coefficient of dx^dy must be the k-th row of H contracted with xi
-        got = om.terms.get(("x", "y"), ring.zero())
-        want = ring.zero()
-        for m in range(3):
-            hkm = H.entry(k, m)
-            if hkm:
-                want = want + ring.var(f"xi{m+1}").scale(Fraction(hkm))
-        assert got == want, k
-        # the dxi^k ^ dy term is present with unit coefficient
-        key = tuple(sorted(("y", f"xi{k+1}"), key=ring.index))
-        assert key in om.terms
+# -- constraints ---------------------------------------------------------------------
 
 
 def test_constraint_residuals_heisenberg_all_zero():

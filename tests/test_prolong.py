@@ -12,10 +12,11 @@ from heavenlab.opcore import EXACT, FLOAT, Operator, commutator, frobenius
 from heavenlab.prolong import (
     HeavenlyVariable,
     ProlongationInstance,
-    build_HFG,
     catalog_instance,
     catalog_names,
     compatibility_check,
+    eval_at_u,
+    hfg_at,
     initial_condition_check,
     ode_residual,
     prolongation_residual,
@@ -266,13 +267,12 @@ def test_heavenly_variable_construction():
     assert abs(hv2.t - 2 * math.exp(-1.0)) < 1e-16
     # float contract: exp_u is the exact square of the stored half-t
     assert hv2.exp_u == hv2.half_t * hv2.half_t
-    with pytest.raises(ValueError):
-        HeavenlyVariable.from_t(0.0)
 
 
 def test_build_HFG_heisenberg_at_zero():
-    inst = catalog_instance("heisenberg3")
-    H, F, G = build_HFG(inst, 0.0, 0.0, 0.0, 1.0, 12)
+    fi = catalog_instance("heisenberg3").to_float()
+    hv, P, M = eval_at_u(fi, solution_cal_form(fi, 12), 0.0)[:3]
+    H, F, G = hfg_at(fi, hv, P, M, 0.0, 0.0, 1.0)
     # H = e^u u_z L + P(2) = e12 + e13 (P(2) = (4/4) e13)
     assert H == (Operator.unit(3, 0, 1, mode=FLOAT) + Operator.unit(3, 0, 2, mode=FLOAT))
     assert F == Operator.zero(3, FLOAT)

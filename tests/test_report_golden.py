@@ -2,7 +2,9 @@
 
 Every catalog fixture is verified at the README defaults in exact and in float
 mode, and the sha256 of each structured report is compared with the golden
-table `report_golden.json`.  A change that is meant to alter what a report says
+table `report_golden.json`.  The table also holds the explicit-operator
+instances of `EXPLICIT`: the catalog is mostly nilpotent, so its series tails
+vanish, while these instances make every truncation bound nonzero.  A change that is meant to alter what a report says
 rewrites the table:
 
     PYTHONPATH=src python3 tests/test_report_golden.py
@@ -21,18 +23,34 @@ from heavenlab.prolong import catalog_names
 GOLDEN = Path(__file__).with_name("report_golden.json")
 MODES = ("exact", "float")
 
+# name -> extra scenario keys; L is not nilpotent and ad_L[M0] = M0 / 2
+EXPLICIT = {
+    "explicit-diagonalizable3": {
+        "instance": {
+            "operators": {
+                "L": [[1, 1, 0], [0, -1, 0], [0, 0, "1/2"]],
+                "M0": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                "P0": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+            }
+        },
+        "u_samples": [-2, 0, 1],
+    },
+}
+
 
 def report_digest(fixture: str, mode: str, workdir: Path) -> str:
     scenario = workdir / f"{fixture}-{mode}.json"
     report = workdir / f"{fixture}-{mode}.report.json"
     doc = {"name": f"{fixture}-{mode}", "instance": {"catalog": fixture}, "mode": mode}
+    doc.update(EXPLICIT.get(fixture, {}))
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     main(["verify", str(scenario), "--format", "structured", "--out", str(report)])
     return hashlib.sha256(report.read_bytes()).hexdigest()
 
 
 def _cases() -> list[str]:
-    return [f"{fixture}/{mode}" for fixture in catalog_names() for mode in MODES]
+    fixtures = (*catalog_names(), *EXPLICIT)
+    return [f"{fixture}/{mode}" for fixture in fixtures for mode in MODES]
 
 
 def test_golden_table_covers_every_fixture_and_mode():
