@@ -311,11 +311,8 @@ def generating_oracle(
             raise ValueError(
                 f"complex residue {imag_norm:.3e} exceeds {imag_tol:.3e}; not discarded"
             )
-        out = np.ascontiguousarray(acc.real)
-        out.setflags(write=False)
-        return Operator(out, FLOAT, _trusted=True)
-    acc.setflags(write=False)
-    return Operator(acc, FLOAT, _trusted=True)
+        return Operator._float(np.ascontiguousarray(acc.real))
+    return Operator._float(acc)
 
 
 # -- recurrence checks -----------------------------------------------------
@@ -372,7 +369,9 @@ def check_recurrence(
         raise ValueError(
             f"k outside series support: need degree >= {need + 1}, got {D}"
         )
-    J = _series_cache(L, D, min(k_range) - 1, max(k_range) + 1)
+    lo, hi = k_range[0], k_range[-1]
+    # k -+ 1 for the recurrences, -k for negative_index
+    J = _series_cache(L, D, min(lo - 1, -hi), max(hi + 1, -lo))
     exact = L.mode == EXACT
     # float-mode roundoff allowance; exact mode demands literal zero
     fl_bound = 0.0

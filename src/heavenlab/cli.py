@@ -37,7 +37,7 @@ from .eds import (
     constraint_residuals,
     random_section,
 )
-from .opcore import EXACT, FLOAT, Operator, frobenius
+from .opcore import EXACT, FLOAT, NonFiniteError, Operator, determinant, frobenius
 from .prolong import (
     ProlongationInstance,
     catalog_instance,
@@ -110,6 +110,8 @@ def build_instance(spec: dict) -> ProlongationInstance:
     N = _operator(ops["N"], "operators.N") if "N" in ops else Operator.zero(n, EXACT)
     A = _operator(ops["A"], "operators.A") if "A" in ops else Operator.identity(n, EXACT)
     B = _operator(ops["B"], "operators.B") if "B" in ops else Operator.identity(n, EXACT)
+    if determinant(B) == 0:
+        raise ScenarioError("operators.B: singular; B must be invertible")
     name = spec.get("name", "custom")
     try:
         return ProlongationInstance(name=name, L=L, M0=M0, P0=P0, N=N, A=A, B=B)
@@ -491,13 +493,32 @@ class Scenario:
 def run_suite(
     sc: Scenario, suite: str, inst: Optional[ProlongationInstance]
 ) -> VerificationReport:
+    """One suite's report; a float overflow inside it is recorded as a failed check."""
     needs_instance, runner = _SUITE_TABLE[suite]
     assert inst is not None or not needs_instance
-    return runner(sc, inst, random.Random(_suite_seed(sc.seed, suite)))
+    try:
+        return runner(sc, inst, random.Random(_suite_seed(sc.seed, suite)))
+    except (NonFiniteError, OverflowError) as e:
+        record = make_record(
+            "numeric-breakdown",
+            suite,
+            "every intermediate value is finite",
+            math.inf,
+            0.0,
+            detail=f"{type(e).__name__}: {e}",
+        )
+        return VerificationReport(name=suite, records=(record,))
 
 
 def run_scenario(sc: Scenario, only: Optional[Sequence[str]] = None) -> VerificationReport:
     suites = tuple(only) if only else sc.suites
+    if "bessel-recurrences" in suites:
+        need = max(abs(k) for k in sc.k_range) + 2
+        if sc.degree < need:
+            raise ScenarioError(
+                f"degree {sc.degree} is too low for k_range {list(sc.k_range)}: "
+                f"bessel-recurrences needs degree >= max|k| + 2 = {need}"
+            )
     inst = build_instance(sc.instance_spec) if sc.instance_spec is not None else None
     needs = [s for s in suites if s not in INSTANCE_FREE]
     if needs and inst is None:

@@ -19,7 +19,9 @@ catalog fixture then satisfies every residual identically.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -637,57 +639,68 @@ def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Mon
 def _solve_exact(
     rows: list[dict[int, Fraction]], rhs: list[Fraction]
 ) -> Optional[dict[int, Fraction]]:
-    """Sparse exact Gaussian elimination; one solution, free unknowns = 0.
+    """Sparse exact elimination; one solution with free unknowns = 0, or None.
 
-    Deterministic: rows are visited in index order, the sparsest row wins,
-    and within a row the smallest unknown index is the pivot.
+    Fraction-free: each row is scaled to integers, and a pivot row p with
+    pivot a clears b from row r as r <- ((a/g) r - (b/g) p) / content, g =
+    gcd(a, b); only back substitution divides.  A column -> rows index finds
+    the rows a pivot touches, and a heap of (length, row) picks the next
+    pivot row.  Deterministic: the sparsest row wins, ties go to the lower row
+    index, and within a row the smallest unknown index is the pivot.
     """
-    work = [(dict(r), v) for r, v in zip(rows, rhs)]
-    active = set(range(len(work)))
-    order: list[tuple[int, dict[int, Fraction], Fraction]] = []
-    while True:
-        best = None
-        best_len = -1
-        for ridx in sorted(active):
-            row, _ = work[ridx]
-            if not row:
-                continue
-            if best is None or len(row) < best_len:
-                best, best_len = ridx, len(row)
-        if best is None:
-            break
+    work: list[tuple[dict[int, int], int]] = []
+    col_rows: dict[int, set[int]] = {}
+    for ridx, (row, v) in enumerate(zip(rows, rhs)):
+        den = math.lcm(v.denominator, *(x.denominator for x in row.values()))
+        irow = {k: x.numerator * (den // x.denominator) for k, x in row.items() if x}
+        work.append((irow, v.numerator * (den // v.denominator)))
+        for k in irow:
+            col_rows.setdefault(k, set()).add(ridx)
+    heap = [(len(row), ridx) for ridx, (row, _) in enumerate(work) if row]
+    heapq.heapify(heap)
+    active = [True] * len(work)
+    order: list[tuple[int, int, dict[int, int], int]] = []
+    while heap:
+        length, best = heapq.heappop(heap)
         row, val = work[best]
+        if not active[best] or len(row) != length:
+            continue  # a stale entry: the row was pivoted or changed since
+        active[best] = False
         piv = min(row)
-        pc = row.pop(piv)
-        row = {k: v / pc for k, v in row.items()}
-        val = val / pc
-        active.discard(best)
-        work[best] = ({}, Fraction(0))
-        for ridx in list(active):
+        a = row[piv]
+        for k in row:
+            col_rows[k].discard(best)
+        for ridx in col_rows.pop(piv):
             r2, v2 = work[ridx]
-            if piv not in r2:
-                continue
-            f = r2.pop(piv)
-            for k, v in row.items():
-                nv = r2.get(k, Fraction(0)) - f * v
-                if nv:
-                    r2[k] = nv
-                else:
-                    r2.pop(k, None)
-            work[ridx] = (r2, v2 - f * val)
-        order.append((piv, row, val))
-    for ridx in active:
-        row, val = work[ridx]
-        if not row and val:
-            return None
+            g = math.gcd(a, r2[piv])
+            fa, fb = a // g, r2[piv] // g
+            new = {k: fa * x for k, x in r2.items() if k != piv}
+            for k, x in row.items():
+                if k == piv:
+                    continue
+                nx = new.get(k, 0) - fb * x
+                if nx:
+                    new[k] = nx
+                    col_rows.setdefault(k, set()).add(ridx)
+                elif k in new:
+                    del new[k]
+                    col_rows[k].discard(ridx)
+            nv = fa * v2 - fb * val
+            content = math.gcd(nv, *new.values())
+            if content > 1:
+                new = {k: x // content for k, x in new.items()}
+                nv //= content
+            work[ridx] = (new, nv)
+            if new:
+                heapq.heappush(heap, (len(new), ridx))
+        order.append((piv, a, row, val))
+    if any(active[ridx] and val for ridx, (_, val) in enumerate(work)):
+        return None
     solution: dict[int, Fraction] = {}
-    for piv, row, val in reversed(order):
-        acc = val
-        for k, v in row.items():
-            xv = solution.get(k)
-            if xv:
-                acc -= v * xv
-        solution[piv] = acc
+    for piv, a, row, val in reversed(order):
+        # the pivot itself is not solved yet, so `k in solution` skips it
+        acc = Fraction(val) - sum(x * solution[k] for k, x in row.items() if k in solution)
+        solution[piv] = acc / a
     return solution
 
 
@@ -734,51 +747,49 @@ def _membership_attempt(
     degree: int,
     varset: list[str],
 ) -> Optional[MembershipWitness]:
+    """One bounded search: the linear system of sum sigma_j ^ theta_j = target.
+
+    A basis multiplier is mono e^{s u} dv, so its product with theta_j is
+    dv ^ theta_j with every monomial multiplied by mono and every exponent
+    shifted by s.  dv ^ theta_j is expanded once per (j, dv); each column is
+    that expansion with shifted keys.  Shifting is injective, so a column is
+    zero exactly when dv ^ theta_j is.
+    """
     ring = target.ring
     monos = _monomials_up_to(varset, degree, ring)
     s_values = (-1, 0, 1)
     basis: list[tuple[int, Optional[str], Monomial, int]] = []
-    expansions: list[dict[tuple[tuple[str, ...], TermKey], Fraction]] = []
+    row_keys: dict[tuple[tuple[str, ...], TermKey], int] = {}
+    rows: list[dict[int, Fraction]] = []
+
+    def row_index(key) -> int:
+        idx = row_keys.setdefault(key, len(rows))
+        if idx == len(rows):
+            rows.append({})
+        return idx
+
     for j, g in enumerate(gens):
         gap = target.degree - g.degree
         dvs: Sequence[Optional[str]] = ring.coords if gap == 1 else (None,)
         for dv in dvs:
+            prod = wedge(one_form(ring, dv), g) if dv is not None else g
+            terms = [
+                (w, m, sm, val) for w, c in prod.terms.items() for (m, sm), val in c.terms.items()
+            ]
+            if not terms:
+                continue
             for mono in monos:
+                shifted = [(w, _mono_mul(mono, m, ring), sm, val) for w, m, sm, val in terms]
                 for s in s_values:
-                    sigma_c = Coefficient(ring, {(mono, s): Fraction(1)})
-                    sigma = (
-                        one_form(ring, dv, sigma_c)
-                        if dv is not None
-                        else DifferentialForm(ring, 0, {(): sigma_c})
-                    )
-                    prod = wedge(sigma, g) if dv is not None else g.mul_coeff(sigma_c)
-                    if prod.is_zero():
-                        continue
-                    exp: dict[tuple[tuple[str, ...], TermKey], Fraction] = {}
-                    for w, c in prod.terms.items():
-                        for tk, val in c.terms.items():
-                            exp[(w, tk)] = exp.get((w, tk), Fraction(0)) + val
+                    ci = len(basis)
                     basis.append((j, dv, mono, s))
-                    expansions.append(exp)
-    row_keys: dict[tuple[tuple[str, ...], TermKey], int] = {}
-    cols: list[dict[int, Fraction]] = []
-    for exp in expansions:
-        col: dict[int, Fraction] = {}
-        for key, val in exp.items():
-            idx = row_keys.setdefault(key, len(row_keys))
-            col[idx] = val
-        cols.append(col)
+                    for w, m, sm, val in shifted:
+                        rows[row_index((w, (m, s + sm)))][ci] = val
     rhs_map: dict[int, Fraction] = {}
     for w, c in target.terms.items():
         for tk, val in c.terms.items():
-            idx = row_keys.setdefault((w, tk), len(row_keys))
-            rhs_map[idx] = val
-    n_rows = len(row_keys)
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(n_rows)]
-    for ci, col in enumerate(cols):
-        for ridx, val in col.items():
-            rows[ridx][ci] = val
-    rhs = [rhs_map.get(i, Fraction(0)) for i in range(n_rows)]
+            rhs_map[row_index((w, tk))] = val
+    rhs = [rhs_map.get(i, Fraction(0)) for i in range(len(rows))]
     sol = _solve_exact(rows, rhs)
     if sol is None:
         return None

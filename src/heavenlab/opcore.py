@@ -11,13 +11,27 @@ Every identity that holds therefore does so bit-for-bit.  The `data` view of
 an exact operator is the matrix of `fractions.Fraction` entries, built on
 first use.
 
+Most exact operands of a truncated series are exactly zero (a nilpotent L has
+L^j = 0 for j >= n), so `@`, `+`, `-` and `scale` return an exact zero
+operand, or the other operand, as it is.  They do so only after the mode,
+dimension and scalar checks, so a mismatch still raises.  Since an exact zero
+is canonical (numerators 0, denominator 1), the short cut is bit-identical to
+the arithmetic it skips.  A denominator of 1 needs no gcd.
+
 Float mode stores float64 (or complex128 where a computation is intrinsically
-complex).  All operators are immutable after construction: the backing arrays
-are marked non-writeable and every operation allocates a fresh result, which
-keeps concurrent readers safe.
+complex).  Every result is checked finite by one reduction: a sum of the
+entries that is finite proves every entry finite, and only a non-finite sum
+falls back to the entrywise test, so finite entries whose sum overflows are
+still accepted.  Float mode has no zero short cut: adding a zero can turn a
+-0.0 entry into +0.0, and the reports are kept bit-for-bit.
+
+All operators are immutable after construction: the backing arrays are
+marked non-writeable and every operation allocates a fresh result or returns
+an operand unchanged, which keeps concurrent readers safe.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +71,9 @@ def _exact_entry(x: ScalarLike) -> Fraction:
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+    # an inf or nan entry makes the sum inf or nan; an overflowing sum of
+    # finite entries is settled by the entrywise test
+    if not cmath.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NonFiniteError("non-finite value in float-mode operator")
 
 
@@ -71,50 +87,65 @@ def _over_lcm(entries: Sequence[Fraction], n: int) -> tuple[np.ndarray, int]:
 class Operator:
     """Immutable dense square matrix: ints over one denominator, or float64/complex128.
 
-    In exact mode `_arr` holds the int numerators and `denominator` the shared
-    positive denominator; in float mode `_arr` is the float array itself and
-    `denominator` is None.
+    In exact mode `_arr` holds the int numerators, `denominator` the shared
+    positive denominator and `_zero` whether every numerator is 0; in float
+    mode `_arr` is the float array itself and `denominator` is None.
     """
 
-    __slots__ = ("_arr", "denominator", "_view", "mode")
+    __slots__ = ("_arr", "denominator", "_view", "mode", "_zero")
 
-    def __init__(self, data: np.ndarray, mode: str, _trusted: bool = False):
+    def __init__(self, data: np.ndarray, mode: str):
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == EXACT or not _trusted:
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise DimensionMismatchError(f"operator must be square, got shape {data.shape}")
+        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+            raise DimensionMismatchError(f"operator must be square, got shape {data.shape}")
         if mode == EXACT:
             self._set_exact(*_over_lcm([_exact_entry(x) for x in data.flat], data.shape[0]))
             return
-        if not _trusted:
-            if np.iscomplexobj(data):
-                data = np.asarray(data, dtype=np.complex128)
-            else:
-                data = np.asarray(data, dtype=np.float64)
-            _check_finite(data)
-            data.setflags(write=False)
+        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
+        data = np.asarray(data, dtype=dtype)
+        _check_finite(data)
+        data.setflags(write=False)
         self._arr = data
         self.denominator = None
         self.mode = mode
 
     def _set_exact(self, num: np.ndarray, den: int) -> None:
         """Store num/den, reduced by the gcd of den and all of num."""
-        g = math.gcd(den, *num.flat)
-        if g != 1:
-            num = num // g
-            den //= g
+        if den != 1:
+            g = math.gcd(den, *num.flat)
+            if g != 1:
+                num = num // g
+                den //= g
         num.setflags(write=False)
         self._arr = num
         self.denominator = den
         self._view = None
         self.mode = EXACT
+        # a zero matrix always reduces to denominator 1
+        self._zero = den == 1 and not any(num.flat)
 
     @classmethod
     def _exact(cls, num: np.ndarray, den: int) -> "Operator":
         op = object.__new__(cls)
         op._set_exact(num, den)
         return op
+
+    @classmethod
+    def _float(cls, arr: np.ndarray) -> "Operator":
+        """Freeze a square float64/complex128 array the caller hands over."""
+        arr.setflags(write=False)
+        op = object.__new__(cls)
+        op._arr = arr
+        op.denominator = None
+        op.mode = FLOAT
+        return op
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "Operator":
+        """A float result: refused if any entry is inf or nan."""
+        _check_finite(arr)
+        return cls._float(arr)
 
     # -- constructors ------------------------------------------------------
 
@@ -129,17 +160,13 @@ class Operator:
             arr = np.array(rows, dtype=np.complex128)
         else:
             arr = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
-        _check_finite(arr)
-        arr.setflags(write=False)
-        return cls(arr, mode, _trusted=True)
+        return cls._checked(arr)
 
     @classmethod
     def zero(cls, n: int, mode: str) -> "Operator":
         if mode == EXACT:
             return cls._exact(np.zeros((n, n), dtype=object), 1)
-        arr = np.zeros((n, n), dtype=np.float64)
-        arr.setflags(write=False)
-        return cls(arr, mode, _trusted=True)
+        return cls._float(np.zeros((n, n), dtype=np.float64))
 
     @classmethod
     def identity(cls, n: int, mode: str) -> "Operator":
@@ -147,9 +174,7 @@ class Operator:
             num = np.zeros((n, n), dtype=object)
             np.fill_diagonal(num, 1)
             return cls._exact(num, 1)
-        arr = np.eye(n, dtype=np.float64)
-        arr.setflags(write=False)
-        return cls(arr, mode, _trusted=True)
+        return cls._float(np.eye(n, dtype=np.float64))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, mode: str = EXACT) -> "Operator":
@@ -162,8 +187,7 @@ class Operator:
             return cls._exact(num, 1)
         arr = np.zeros((n, n), dtype=np.float64)
         arr[i, j] = 1.0
-        arr.setflags(write=False)
-        return cls(arr, mode, _trusted=True)
+        return cls._float(arr)
 
     @classmethod
     def diag(cls, entries: Sequence[ScalarLike], mode: str = EXACT) -> "Operator":
@@ -175,8 +199,7 @@ class Operator:
         op = np.zeros((n, n), dtype=np.float64)
         for i, x in enumerate(entries):
             op[i, i] = float(x)
-        op.setflags(write=False)
-        return cls(op, mode, _trusted=True)
+        return cls._float(op)
 
     # -- basic queries -----------------------------------------------------
 
@@ -213,7 +236,7 @@ class Operator:
 
     def is_zero(self) -> bool:
         if self.mode == EXACT:
-            return not any(self._arr.flat)
+            return self._zero
         return not self._arr.any()
 
     def __eq__(self, other: object) -> bool:
@@ -236,13 +259,8 @@ class Operator:
     def _require_compatible(self, other: "Operator") -> None:
         if self.mode != other.mode:
             raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
-        if self.dim != other.dim:
+        if self._arr.shape != other._arr.shape:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def _wrap(self, arr: np.ndarray) -> "Operator":
-        _check_finite(arr)
-        arr.setflags(write=False)
-        return Operator(arr, FLOAT, _trusted=True)
 
     def _common(self, other: "Operator") -> tuple[np.ndarray, np.ndarray, int]:
         """Both numerator arrays over the lcm of the two denominators."""
@@ -254,39 +272,59 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        if self.mode == EXACT:
-            a, b, den = self._common(other)
-            return Operator._exact(a + b, den)
-        return self._wrap(self._arr + other._arr)
+        if self.mode == FLOAT:
+            return Operator._checked(self._arr + other._arr)
+        if self._zero:
+            return other
+        if other._zero:
+            return self
+        a, b, den = self._common(other)
+        return Operator._exact(a + b, den)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        if self.mode == EXACT:
-            a, b, den = self._common(other)
-            return Operator._exact(a - b, den)
-        return self._wrap(self._arr - other._arr)
+        if self.mode == FLOAT:
+            return Operator._checked(self._arr - other._arr)
+        if other._zero:
+            return self
+        if self._zero:
+            return -other
+        a, b, den = self._common(other)
+        return Operator._exact(a - b, den)
 
     def __neg__(self) -> "Operator":
         if self.mode == EXACT:
             return Operator._exact(-self._arr, self.denominator)
-        return self._wrap(-self._arr)
+        return Operator._checked(-self._arr)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._require_compatible(other)
-        if self.mode == EXACT:
-            return Operator._exact(
-                np.dot(self._arr, other._arr), self.denominator * other.denominator
-            )
-        return self._wrap(np.dot(self._arr, other._arr))
+        if self.mode == FLOAT:
+            return Operator._checked(np.dot(self._arr, other._arr))
+        if self._zero:
+            return self
+        if other._zero:
+            return other
+        return Operator._exact(
+            np.dot(self._arr, other._arr), self.denominator * other.denominator
+        )
 
     def scale(self, s: ScalarLike) -> "Operator":
-        if self.mode == EXACT:
+        if self.mode == FLOAT:
+            if isinstance(s, Fraction):
+                s = float(s)
+            # a complex scalar promotes a real operator; allowed in float mode
+            return Operator._checked(self._arr * s)
+        if isinstance(s, int):
+            p, q = s, 1
+        else:
             c = _exact_entry(s)
-            return Operator._exact(self._arr * c.numerator, self.denominator * c.denominator)
-        if isinstance(s, Fraction):
-            s = float(s)
-        # a complex scalar promotes a real operator; allowed in float mode
-        return self._wrap(self._arr * s)
+            p, q = c.numerator, c.denominator
+        if self._zero:
+            return self
+        if not p:
+            return Operator.zero(self.dim, EXACT)
+        return Operator._exact(self._arr * p, self.denominator * q)
 
     def __mul__(self, s: ScalarLike) -> "Operator":
         return self.scale(s)
@@ -300,7 +338,7 @@ class Operator:
             return self
         # int / int true division is correctly rounded, as float(Fraction) is
         arr = np.array(self._arr / self.denominator, dtype=np.float64)
-        return self._wrap(arr)
+        return Operator._checked(arr)
 
     def to_jsonable(self) -> list[list]:
         if self.mode == EXACT:
@@ -308,6 +346,30 @@ class Operator:
         if np.iscomplexobj(self.data):
             raise ValueError("complex operators are not serializable")
         return [[float(x) for x in row] for row in self.data]
+
+
+def determinant(a: Operator) -> Fraction:
+    """Exact determinant by fraction-free elimination (Bareiss 1968).
+
+    Every division by the previous pivot is exact, so the entries stay
+    integers, each a minor of the numerator matrix.
+    """
+    if a.mode != EXACT:
+        raise ModeMismatchError("determinant requires exact mode")
+    m = [list(row) for row in a.numerators]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1], a.denominator**n)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -345,13 +407,19 @@ def _square_sum(a: Operator) -> int:
     return int(np.dot(flat, flat))
 
 
+def _float_frobenius(x: np.ndarray) -> float:
+    if x.dtype == np.float64:
+        # x*x is abs(x)**2 bit for bit, and the same reduction sums it
+        return math.sqrt(np.add.reduce(x * x, axis=None))
+    return float(np.sqrt((abs(x) ** 2).sum()))
+
+
 def norm_bound(a: Operator) -> NormBound:
     if a.mode == EXACT:
         sq = Fraction(_square_sum(a), a.denominator * a.denominator)
         root = _rational_sqrt_upper(sq)
         return NormBound(value=float(root), exact_square=sq, root_upper=root)
-    val = float(np.sqrt((abs(a.data) ** 2).sum()))
-    return NormBound(value=val)
+    return NormBound(value=_float_frobenius(a.data))
 
 
 def frobenius(a: Operator) -> float:
@@ -359,7 +427,7 @@ def frobenius(a: Operator) -> float:
     if a.mode == EXACT:
         # correctly rounded, so equal to float() of the reduced Fraction
         return math.sqrt(_square_sum(a) / (a.denominator * a.denominator))
-    return float(np.sqrt((abs(a.data) ** 2).sum()))
+    return _float_frobenius(a.data)
 
 
 def operator_exp(a: Operator, tol: float = 1e-13) -> Operator:

@@ -279,3 +279,71 @@ def test_main_rejects_non_finite_matrix_entry(tmp_path, capsys, entry):
     )
     assert main(["verify", str(path)]) == 2
     assert "operators.L: not a rational number" in capsys.readouterr().err
+
+
+def test_main_asymmetric_k_range(tmp_path):
+    # negative_index reads J[-k], outside min(k)-1..max(k)+1 when k_range is lopsided
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x",
+        "instance": {"catalog": "diag2"},
+        "k_range": [-3, 5],
+        "suites": ["bessel-recurrences"],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 0
+    ids = {c["check_id"] for c in json.loads(out.read_text())["checks"]}
+    assert {"negative_index[k=5]", "negative_index[k=-3]", "recurrence_2k[k=5]"} <= ids
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"degree": 4}, []),
+        ({"degree": 6, "k_range": [-2, 5]}, []),
+        ({"degree": 4, "suites": ["compatibility"]}, ["--suite", "bessel-recurrences"]),
+    ],
+)
+def test_main_rejects_degree_below_k_range(tmp_path, capsys, doc, argv):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "x", "instance": {"catalog": "diag2"}, **doc}))
+    assert main(["verify", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "degree" in err and "k_range" in err
+
+
+def test_main_degree_below_k_range_ok_without_recurrences(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x", "instance": {"catalog": "diag2"}, "degree": 4, "suites": ["compatibility"],
+    }))
+    assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("suite", ["prolongation", "eds-constraints"])
+def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x", "instance": {"catalog": "diag2"}, "u_samples": [800], "suites": [suite],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["check_id"] == "numeric-breakdown" and check["suite"] == suite
+    assert check["verdict"] == "fail"
+    assert "NonFiniteError: non-finite value" in check["detail"]
+
+
+def test_main_rejects_singular_B(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x",
+        "instance": {"operators": {
+            "L": [[0, 1], [0, 0]], "M0": [[1, 0], [0, 1]], "P0": [[1, 0], [0, 1]],
+            "B": [["1/2", 1], [1, 2]],
+        }},
+    }))
+    assert main(["verify", str(path)]) == 2
+    assert "operators.B: singular" in capsys.readouterr().err

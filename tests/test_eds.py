@@ -6,6 +6,7 @@ import pytest
 
 from heavenlab.eds import (
     DifferentialForm,
+    _solve_exact,
     Ring,
     Section,
     base_ideal,
@@ -42,6 +43,29 @@ def _random_form(rng: random.Random, ring: Ring, degree: int) -> DifferentialFor
         else:
             form = form + form_from_wedge(ring, w, c)
     return form
+
+
+def _random_system(rng: random.Random):
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = []
+    for _ in range(n_rows):
+        cols = rng.sample(range(n_cols), rng.randint(0, min(n_cols, 4)))
+        row = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in cols}
+        rows.append({c: v for c, v in row.items() if v})
+    if n_rows > 1 and rng.random() < 0.4:
+        # a combination of two rows, so rank deficiency is common
+        a, b = rng.sample(range(n_rows), 2)
+        comb = dict(rows[a])
+        for c, v in rows[b].items():
+            comb[c] = comb.get(c, Fraction(0)) + 2 * v
+        rows.append({c: v for c, v in comb.items() if v})
+    if rng.random() < 0.5:
+        # right-hand side in the column space, so the system is consistent
+        x = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n_cols)]
+        rhs = [sum((v * x[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in rows]
+    return rows, rhs, n_cols
 
 
 # -- wedge algebra -------------------------------------------------------------
@@ -164,6 +188,26 @@ def test_closure_check_finds_all_witnesses():
 
 
 # -- ideal membership solver ------------------------------------------------------
+
+
+def test_solve_exact_random_sparse_systems_against_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    consistent = 0
+    for _ in range(120):
+        rows, rhs, n_cols = _random_system(rng)
+        sol = _solve_exact(rows, rhs)
+        A = sympy.Matrix(
+            [[sympy.Rational(str(row.get(c, 0))) for c in range(n_cols)] for row in rows]
+        )
+        b = sympy.Matrix([sympy.Rational(str(v)) for v in rhs])
+        solvable = A.rank() == A.row_join(b).rank()
+        assert (sol is not None) == solvable
+        if sol is not None:
+            consistent += 1
+            for row, v in zip(rows, rhs):
+                assert sum((x * sol.get(c, 0) for c, x in row.items()), Fraction(0)) == v
+    assert 40 < consistent < 100
 
 
 def test_membership_finds_and_verifies_simple_case():

@@ -17,6 +17,7 @@ from heavenlab.opcore import (
     NonFiniteError,
     Operator,
     commutator,
+    determinant,
     frobenius,
     norm_bound,
     operator_exp,
@@ -288,3 +289,105 @@ def test_exact_scale_by_zero_and_negative_ratio():
     neg = a.scale(Fraction(-14, 3))
     assert neg.entry(0, 0) == Fraction(-7, 3) and neg.entry(1, 0) == Fraction(-10, 3)
     assert neg.denominator == 3
+
+
+# -- zero short cut, finiteness check, float norm ------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_pair(), scalar_fraction)
+def test_exact_zero_operands_match_fraction_reference(pair, s):
+    ra, _ = pair
+    n = len(ra)
+    a, z = Operator.from_rows(ra, EXACT), Operator.zero(n, EXACT)
+    rz = [[Fraction(0)] * n for _ in range(n)]
+    for op, ref in (
+        (a + z, ra),
+        (z + a, ra),
+        (a - z, ra),
+        (z - a, [[-x for x in row] for row in ra]),
+        (a @ z, rz),
+        (z @ a, rz),
+        (z @ z, rz),
+        (z.scale(s), rz),
+        (a.scale(0), rz),
+        (a.scale(3), [[3 * x for x in row] for row in ra]),
+        (a - a, rz),
+    ):
+        _assert_matches(op, ref)
+
+
+def test_exact_zero_operands_still_check_mode_dimension_and_scalar():
+    z = Operator.zero(2, EXACT)
+    for other in (Operator.zero(2, FLOAT), Operator.identity(2, FLOAT)):
+        for op in ("__add__", "__sub__", "__matmul__"):
+            with pytest.raises(ModeMismatchError):
+                getattr(z, op)(other)
+            with pytest.raises(ModeMismatchError):
+                getattr(other, op)(z)
+    for op in ("__add__", "__sub__", "__matmul__"):
+        with pytest.raises(DimensionMismatchError):
+            getattr(z, op)(Operator.identity(3, EXACT))
+        with pytest.raises(DimensionMismatchError):
+            getattr(Operator.zero(3, EXACT), op)(z)
+    with pytest.raises(TypeError):
+        z.scale(1j)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e308, 1e308 + 1e308j, 1e308j])
+def test_float_ops_raise_on_overflow(big):
+    a = Operator.from_rows([[big, 0.0], [0.0, 1.0]], FLOAT)
+    with pytest.raises(NonFiniteError):
+        _ = a + a
+    with pytest.raises(NonFiniteError):
+        _ = a - a.scale(-1.0)
+    with pytest.raises(NonFiniteError):
+        _ = a @ a
+    with pytest.raises(NonFiniteError):
+        a.scale(10.0)
+    with pytest.raises(NonFiniteError):
+        a.scale(Fraction(10))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e308, 1e308 + 1e308j])
+def test_float_finite_entries_with_overflowing_sum_accepted(big):
+    rows = [[big, big], [big, big]]
+    a = Operator.from_rows(rows, FLOAT)
+    assert not np.isfinite(a.data.sum())
+    assert np.array_equal(Operator(np.array(rows), FLOAT).data, a.data)
+    z = Operator.zero(2, FLOAT)
+    if isinstance(big, complex):
+        z = z.scale(1j)
+    for op in (a + z, a - z, -a, a.scale(1.0), a.scale(0.5), a @ Operator.identity(2, FLOAT)):
+        assert np.isfinite(op.data).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_frobenius_bit_identical_to_abs_square_sum():
+    rng = np.random.default_rng(7)
+    arrays = [rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 150) for n in range(1, 9)]
+    arrays += [np.asfortranarray(x) for x in arrays] + [x.T for x in arrays]
+    arrays += [np.array([[1e200, -1e-200], [0.0, -0.0]]), np.array([[1e300, 1e300], [0, 0]])]
+    for x in arrays:
+        ref = float(np.sqrt((abs(x) ** 2).sum()))
+        assert frobenius(Operator(x, FLOAT)) == ref
+
+
+def test_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else Fraction(0)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).det()
+        assert determinant(Operator.from_rows(rows, EXACT)) == Fraction(str(ref))
+    with pytest.raises(ModeMismatchError):
+        determinant(Operator.identity(2, FLOAT))
