@@ -36,14 +36,10 @@ EPS = float(np.finfo(np.float64).eps)
 class TailBound:
     """Upper bound on the norm of everything a truncation dropped."""
 
-    __slots__ = ("value", "valid_for_t_up_to")
+    __slots__ = ("value",)
 
-    def __init__(self, value: float, valid_for_t_up_to: float):
+    def __init__(self, value: float):
         self.value = float(value)
-        self.valid_for_t_up_to = float(valid_for_t_up_to)
-
-    def __repr__(self) -> str:
-        return f"TailBound({self.value:.3e} for |t|<={self.valid_for_t_up_to:g})"
 
 
 class OperatorSeries:
@@ -55,13 +51,12 @@ class OperatorSeries:
     infinite tail.
     """
 
-    __slots__ = ("coeffs", "tail_fn", "warning")
+    __slots__ = ("coeffs", "tail_fn")
 
     def __init__(
         self,
         coeffs: Sequence[Operator],
         tail_fn: Optional[Callable[[float], float]] = None,
-        warning: Optional[str] = None,
     ):
         coeffs = tuple(coeffs)
         if not coeffs:
@@ -74,7 +69,6 @@ class OperatorSeries:
                 raise ModeMismatchError("series coefficients must share mode")
         self.coeffs = coeffs
         self.tail_fn = tail_fn
-        self.warning = warning
 
     @property
     def degree(self) -> int:
@@ -145,7 +139,7 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     for j in range(s.degree - 1, -1, -1):
         acc = acc.scale(t) + s.coeffs[j]
     t_abs = abs(float(t))
-    tail = TailBound(s.tail_fn(t_abs) if s.tail_fn is not None else 0.0, t_abs)
+    tail = TailBound(s.tail_fn(t_abs) if s.tail_fn is not None else 0.0)
     return acc, tail
 
 
@@ -227,29 +221,20 @@ def bessel_series(
     """J_m(tX) truncated at t-degree D.
 
     Negative index via J_{-k} = (-1)^k J_k.  When D < |m| every stored
-    coefficient is zero; the series is returned with a warning flag instead of
-    raising, since the truncation is still correct.
+    coefficient is zero, which is still the correct truncation.
     """
     if D < 0:
         raise ValueError("degree must be >= 0")
     mode = X.mode
     n = X.dim
-    ma = abs(m)
     zero = Operator.zero(n, mode)
-    if D < ma:
-        s = OperatorSeries(
-            [zero] * (D + 1),
-            tail_fn=_make_bessel_tail_fn(X, m, D),
-            warning=f"degree {D} below leading order |m|={ma}; zero truncation",
-        )
-        return s
     if powers is None:
         powers = [Operator.identity(n, mode)]
     while len(powers) <= D:
         powers.append(powers[-1] @ X)
     coeffs: list[Operator] = [zero] * (D + 1)
     for deg, q in bessel_terms(m, D):
-        coeffs[deg] = powers[deg].scale(q if mode == EXACT else float(q))
+        coeffs[deg] = powers[deg].scale(q)
     return OperatorSeries(coeffs, tail_fn=_make_bessel_tail_fn(X, m, D))
 
 
@@ -275,7 +260,7 @@ def bessel_eval(
     if mode == EXACT and not isinstance(t, (int, Fraction)):
         t = Fraction(t)
     for deg, q in bessel_terms(m, len(X_powers) - 1):
-        acc = acc + X_powers[deg].scale(q * t**deg if mode == EXACT else float(q) * t**deg)
+        acc = acc + X_powers[deg].scale(q * t**deg)
     return acc
 
 

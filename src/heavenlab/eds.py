@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -641,25 +640,21 @@ def _solve_exact(
 ) -> Optional[dict[int, Fraction]]:
     """Sparse exact elimination; one solution with free unknowns = 0, or None.
 
-    Fraction-free: each row is scaled to integers, and a pivot row p with
-    pivot a clears b from row r as r <- ((a/g) r - (b/g) p) / content, g =
-    gcd(a, b); only back substitution divides.  A column -> rows index finds
-    the rows a pivot touches, and a heap of (length, row) picks the next
-    pivot row.  Deterministic: the sparsest row wins, ties go to the lower row
-    index, and within a row the smallest unknown index is the pivot.
+    A pivot row p with pivot a clears b from row r as r <- r - (b/a) p.  A
+    column -> rows index finds the rows a pivot touches, and a heap of
+    (length, row) picks the next pivot row.  Deterministic: the sparsest row
+    wins, ties go to the lower row index, and within a row the smallest
+    unknown index is the pivot.
     """
-    work: list[tuple[dict[int, int], int]] = []
+    work = [({k: x for k, x in row.items() if x}, v) for row, v in zip(rows, rhs)]
     col_rows: dict[int, set[int]] = {}
-    for ridx, (row, v) in enumerate(zip(rows, rhs)):
-        den = math.lcm(v.denominator, *(x.denominator for x in row.values()))
-        irow = {k: x.numerator * (den // x.denominator) for k, x in row.items() if x}
-        work.append((irow, v.numerator * (den // v.denominator)))
-        for k in irow:
+    for ridx, (row, _) in enumerate(work):
+        for k in row:
             col_rows.setdefault(k, set()).add(ridx)
     heap = [(len(row), ridx) for ridx, (row, _) in enumerate(work) if row]
     heapq.heapify(heap)
     active = [True] * len(work)
-    order: list[tuple[int, int, dict[int, int], int]] = []
+    order: list[tuple[int, dict[int, Fraction], Fraction]] = []
     while heap:
         length, best = heapq.heappop(heap)
         row, val = work[best]
@@ -672,35 +667,28 @@ def _solve_exact(
             col_rows[k].discard(best)
         for ridx in col_rows.pop(piv):
             r2, v2 = work[ridx]
-            g = math.gcd(a, r2[piv])
-            fa, fb = a // g, r2[piv] // g
-            new = {k: fa * x for k, x in r2.items() if k != piv}
+            f = r2.pop(piv) / a
             for k, x in row.items():
                 if k == piv:
                     continue
-                nx = new.get(k, 0) - fb * x
+                nx = r2.get(k, 0) - f * x
                 if nx:
-                    new[k] = nx
+                    r2[k] = nx
                     col_rows.setdefault(k, set()).add(ridx)
-                elif k in new:
-                    del new[k]
+                elif k in r2:
+                    del r2[k]
                     col_rows[k].discard(ridx)
-            nv = fa * v2 - fb * val
-            content = math.gcd(nv, *new.values())
-            if content > 1:
-                new = {k: x // content for k, x in new.items()}
-                nv //= content
-            work[ridx] = (new, nv)
-            if new:
-                heapq.heappush(heap, (len(new), ridx))
-        order.append((piv, a, row, val))
+            work[ridx] = (r2, v2 - f * val)
+            if r2:
+                heapq.heappush(heap, (len(r2), ridx))
+        order.append((piv, row, val))
     if any(active[ridx] and val for ridx, (_, val) in enumerate(work)):
         return None
     solution: dict[int, Fraction] = {}
-    for piv, a, row, val in reversed(order):
+    for piv, row, val in reversed(order):
         # the pivot itself is not solved yet, so `k in solution` skips it
-        acc = Fraction(val) - sum(x * solution[k] for k, x in row.items() if k in solution)
-        solution[piv] = acc / a
+        acc = val - sum(x * solution[k] for k, x in row.items() if k in solution)
+        solution[piv] = acc / row[piv]
     return solution
 
 
@@ -730,11 +718,7 @@ def ideal_membership(
             raise ValueError("multiplier degree gap must be 0 or 1")
     var_target = sorted(target.variables())
     var_all = sorted(set(var_target) | set().union(*(g.variables() for g in gens)))
-    tried: list[list[str]] = []
     for varset in ([var_target, var_all] if var_target != var_all else [var_all]):
-        if varset in tried:
-            continue
-        tried.append(varset)
         witness = _membership_attempt(target, gens, multiplier_degree, varset)
         if witness is not None:
             return witness

@@ -196,10 +196,7 @@ class Operator:
             return cls.from_rows(
                 [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)], EXACT
             )
-        op = np.zeros((n, n), dtype=np.float64)
-        for i, x in enumerate(entries):
-            op[i, i] = float(x)
-        return cls._float(op)
+        return cls._checked(np.diag(np.array([float(x) for x in entries], dtype=np.float64)))
 
     # -- basic queries -----------------------------------------------------
 

@@ -29,11 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .adjoint import AdjointContext, ad_apply
+from .adjoint import (
+    AdjointContext,
+    ad_apply,
+    bch_conjugate,
+    bch_remainder_bound,
+    bch_series,
+)
 from .besselop import (
     EPS,
     OperatorSeries,
     bessel_eval,
+    bessel_series,
     bessel_tail,
     bessel_terms,
     scalar_bessel_majorant,
@@ -59,10 +66,14 @@ __all__ = [
     "LFormSolution",
     "solution_L_form",
     "ode_residual",
+    "ode_check",
+    "equivalence_check",
+    "bch_check",
     "prolongation_residual",
     "compatibility_check",
     "initial_condition_check",
     "scalar_reduction",
+    "scalar_check",
     "eval_at_u",
     "structure_bounds",
     "hfg_at",
@@ -176,7 +187,7 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
     zero = Operator.zero(n, mode)
     coeffs = [zero] * (D + 1)
     for deg, q in bessel_terms(nu, D):
-        coeffs[deg] = tower[deg].scale(q if mode == EXACT else float(q))
+        coeffs[deg] = tower[deg].scale(q)
     twoL = 2.0 * frobenius(ctx.L)
     nA = frobenius(A)
 
@@ -211,8 +222,7 @@ def solution_cal_form(inst: ProlongationInstance, D: int) -> CalSolution:
             )
     ctx = AdjointContext(inst.L)
     p_inner = cal_bessel(ctx, inst.P0, 1, D - 1)
-    half = Fraction(1, 2) if inst.mode == EXACT else 0.5
-    p = p_inner.shift(1).scale(half)
+    p = p_inner.shift(1).scale(Fraction(1, 2))
     inner_tail = p_inner.tail_fn
     p.tail_fn = (lambda t_abs: 0.5 * t_abs * inner_tail(t_abs)) if inner_tail else None
     m = cal_bessel(ctx, inst.M0, 0, D)
@@ -258,8 +268,7 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
     for k in range(-K, K + 1):
         m_acc = m_acc + J[k] @ inst.M0 @ J[k]
         p_acc = p_acc + J[k + 1] @ inst.P0 @ J[k]
-    half = Fraction(1, 2) if mode == EXACT else 0.5
-    p_acc = p_acc.scale(half * t if mode == EXACT else 0.5 * float(t))
+    p_acc = p_acc.scale(Fraction(1, 2) * t)
 
     nm0, np0 = frobenius(inst.M0), frobenius(inst.P0)
     # dropped indices |k| > K
@@ -326,16 +335,130 @@ def ode_residual_bound(
     """
     D = S.degree
     twoL = 2.0 * frobenius(ctx.L)
-    big = S.max_coeff_norm()
     # omitted t-degrees >= D contribute at most these magnitudes
     tail = 0.0
     s_tail = S.tail_fn(t_abs) if S.tail_fn else 0.0
     # t S'' and S': coefficient d picks (d+1)(d) c_{d+1}; first omitted is c_{D+1}
     tail += (D + 2) * (D + 1) * s_tail + (D + 1) * s_tail
     tail += t_abs * twoL * twoL * s_tail
-    round_off = 64.0 * EPS * (D + 2) ** 2 * max(1.0, twoL * twoL) * max(1.0, big)
-    horner = round_off * max(1.0, t_abs) ** max(D - 1, 1)
+    horner = _ode_roundoff(S, twoL) * max(1.0, t_abs) ** max(D - 1, 1)
     return tail + horner
+
+
+def _ode_roundoff(S: OperatorSeries, twoL: float) -> float:
+    """Roundoff allowance for each float coefficient of `ode_residual(S, ...)`.
+
+    twoL is 2 ||L||, the norm bound of ad_L.
+    """
+    big = S.max_coeff_norm()
+    return 64.0 * EPS * (S.degree + 2) ** 2 * max(1.0, twoL * twoL) * max(1.0, big)
+
+
+def ode_check(inst: ProlongationInstance, D: int) -> VerificationReport:
+    """The residual series of both Bessel-type ODEs, on the cal form at degree D.
+
+    Every coefficient through degree D-1 must vanish: exactly in exact mode,
+    up to `_ode_roundoff` in float mode.
+    """
+    sol = solution_cal_form(inst, D)
+    twoL = 2.0 * frobenius(inst.L)
+    records = []
+    for kind, S, eq in (
+        ("P2", sol.p, "t P'' - P' + t ad_L^2[P] = 0"),
+        ("M2", sol.m, "t M'' + M' + t ad_L^2[M] = 0"),
+    ):
+        residual = ode_residual(S, kind, sol.ctx).max_coeff_norm()
+        bound = 0.0 if inst.mode == EXACT else _ode_roundoff(S, twoL)
+        records.append(
+            make_record(
+                f"{kind}-coefficients",
+                "ode-residuals",
+                eq,
+                residual,
+                bound,
+                detail=f"complete through degree {D - 1}",
+            )
+        )
+    return VerificationReport(name="ode-residuals", records=tuple(records))
+
+
+def equivalence_check(
+    inst: ProlongationInstance, t_samples, K: int, D: int
+) -> VerificationReport:
+    """Cal form against bilateral form (index cutoff K) at each t.
+
+    The bound is the sum of both truncation tails, plus a roundoff allowance
+    in float mode.
+    """
+    sol = solution_cal_form(inst, D)
+    nL = frobenius(inst.L)
+    scale = max(1.0, frobenius(inst.M0) + frobenius(inst.P0))
+    records = []
+    for t in t_samples:
+        tv = t if inst.mode == EXACT else float(t)
+        pc, ptb = series_eval(sol.p, tv)
+        mc, mtb = series_eval(sol.m, tv)
+        lf = solution_L_form(inst, tv, K, D)
+        roundoff = 0.0
+        if inst.mode == FLOAT:
+            r = float(t) * nL / 2.0
+            roundoff = (
+                64.0
+                * EPS
+                * (2 * K + 3)
+                * (D + 2)
+                * max(1.0, nL) ** 2
+                * scale
+                * math.exp(min(2 * r, 700.0))
+            )
+        for label, cal_val, cal_tail, l_val, l_tail in (
+            ("P", pc, ptb.value, lf.p, lf.p_tail),
+            ("M", mc, mtb.value, lf.m, lf.m_tail),
+        ):
+            records.append(
+                make_record(
+                    f"{label}-route[t={t}]",
+                    "solution-equivalence",
+                    f"{label}: adjoint-series route = bilateral-sum route",
+                    frobenius(cal_val - l_val),
+                    cal_tail + l_tail + roundoff,
+                    detail=f"K={K} D={D}",
+                )
+            )
+    return VerificationReport(name="solution-equivalence", records=tuple(records))
+
+
+def bch_check(inst: ProlongationInstance, t_samples, D: int) -> VerificationReport:
+    """exp(it ad_L)[A] against exp(itL) A exp(-itL) for A = M0, P0, in floats.
+
+    The bound is the degree-D series remainder plus a roundoff allowance for
+    both routes.
+    """
+    fi = inst.to_float()
+    ctx = AdjointContext(fi.L)
+    nL = frobenius(fi.L)
+    records = []
+    for label, a0 in (("M0", fi.M0), ("P0", fi.P0)):
+        for t in t_samples:
+            tv = float(t)
+            s = bch_series(ctx, a0, tv, D)
+            c = bch_conjugate(ctx, a0, tv)
+            rb = bch_remainder_bound(ctx, a0, tv, D)
+            r = tv * nL
+            conj_err = (1e-12 + 64.0 * EPS * (D + 2)) * max(
+                1.0, frobenius(a0)
+            ) * math.exp(min(2 * r, 700.0))
+            records.append(
+                make_record(
+                    f"bch-{label}[t={t}]",
+                    "bch",
+                    "exp(it ad_L)[A] = exp(itL) A exp(-itL)",
+                    frobenius(s - c),
+                    rb + conj_err,
+                    detail=f"D={D}",
+                )
+            )
+    return VerificationReport(name="bch", records=tuple(records))
 
 
 def prolongation_residual(
@@ -510,6 +633,36 @@ def scalar_reduction(omega, p0, m0, t, D: int):
     if wants_float:
         return float(kappa), float(chi)
     return kappa, chi
+
+
+def scalar_check(omega, p0, m0, t_samples, D: int) -> VerificationReport:
+    """`scalar_reduction` against the 1x1 operator route J_m(t [omega]).
+
+    Both are exact rationals, so each residual must be exactly zero.
+    """
+    X = Operator.from_rows([[omega]], EXACT)
+    s0 = bessel_series(X, 0, D)
+    s1 = bessel_series(X, 1, D)
+    records = []
+    for t in t_samples:
+        kappa, chi = scalar_reduction(omega, p0, m0, t, D)
+        v1, _ = series_eval(s1, t)
+        v0, _ = series_eval(s0, t)
+        for cid, eq, value, via_op in (
+            ("kappa", "p0 (t/2) J_1(t w)", kappa, p0 * (t / 2) * v1.entry(0, 0)),
+            ("chi", "m0 J_0(t w)", chi, m0 * v0.entry(0, 0)),
+        ):
+            records.append(
+                make_record(
+                    f"{cid}[t={t}]",
+                    "scalar-reduction",
+                    f"{eq} = 1x1 operator route",
+                    abs(float(value - via_op)),
+                    0.0,
+                    detail=f"omega={omega} D={D}",
+                )
+            )
+    return VerificationReport(name="scalar-reduction", records=tuple(records))
 
 
 def hfg_at(

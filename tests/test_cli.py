@@ -320,7 +320,8 @@ def test_main_degree_below_k_range_ok_without_recurrences(tmp_path):
     assert main(["verify", str(path)]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+# numpy's overflow RuntimeWarning would be noise beside the recorded failure
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("suite", ["prolongation", "eds-constraints"])
 def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite):
     path = tmp_path / "s.json"

@@ -85,6 +85,10 @@ def test_exact_entry_rejects_junk():
 def test_float_mode_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
         Operator.from_rows([[float("inf")]], FLOAT)
+    for entries in ([float("inf"), float("nan")], [1.0, float("nan")]):
+        with pytest.raises(NonFiniteError):
+            Operator.diag(entries, FLOAT)
+    assert Operator.diag([1.0, -2.5], FLOAT).data.tolist() == [[1.0, 0.0], [0.0, -2.5]]
 
 
 def test_mode_mismatch_raises():

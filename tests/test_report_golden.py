@@ -2,10 +2,12 @@
 
 Every catalog fixture is verified at the README defaults in exact and in float
 mode, and the sha256 of each structured report is compared with the golden
-table `report_golden.json`.  The table also holds the explicit-operator
-instances of `EXPLICIT`: the catalog is mostly nilpotent, so its series tails
-vanish, while these instances make every truncation bound nonzero.  A change that is meant to alter what a report says
-rewrites the table:
+table `report_golden.json`.  The table also holds the scenarios of
+`EXPLICIT`: an explicit-operator instance, because the catalog is mostly
+nilpotent, so its series tails vanish, while that instance makes every
+truncation bound nonzero; and a catalog fixture with `degree`, `cutoff`, both
+sample lists and the `scalar` block away from their defaults.  A change that is meant to alter what a
+report says rewrites the table:
 
     PYTHONPATH=src python3 tests/test_report_golden.py
 """
@@ -23,8 +25,9 @@ from heavenlab.prolong import catalog_names
 GOLDEN = Path(__file__).with_name("report_golden.json")
 MODES = ("exact", "float")
 
-# name -> extra scenario keys; L is not nilpotent and ad_L[M0] = M0 / 2
+# name -> extra scenario keys
 EXPLICIT = {
+    # L is not nilpotent and ad_L[M0] = M0 / 2
     "explicit-diagonalizable3": {
         "instance": {
             "operators": {
@@ -34,6 +37,15 @@ EXPLICIT = {
             }
         },
         "u_samples": [-2, 0, 1],
+    },
+    # degree, cutoff, t_samples, u_samples and scalar away from their defaults
+    "nilpotent4-params": {
+        "instance": {"catalog": "nilpotent4"},
+        "degree": 12,
+        "cutoff": 5,
+        "t_samples": ["1/3", "3/2"],
+        "u_samples": [-1.5, 0.5],
+        "scalar": {"omega": "2/3", "p0": "3", "m0": "-1/2", "t_samples": ["1/4", "5/2"]},
     },
 }
 
