@@ -324,12 +324,6 @@ def _series_cache(L: Operator, D: int, k_lo: int, k_hi: int) -> dict[int, Operat
     return {k: bessel_series(L, k, D, powers=powers) for k in range(k_lo, k_hi + 1)}
 
 
-def _max_residual(diff: OperatorSeries, through: int) -> float:
-    return max(
-        frobenius(diff.coefficient(d)) for d in range(min(through, diff.degree) + 1)
-    )
-
-
 def check_recurrence(
     rel: str,
     L: Operator,
@@ -388,7 +382,7 @@ def check_recurrence(
             # t^{1+k} * (d/dt[t^-k J_k] + L t^-k J_{k+1}) = -k J_k + t J_k' + t L J_{k+1}
             diff = J[k].scale(-k) + J[k].derivative().shift(1) + J[k + 1].lmul(L).shift(1)
             through = D - 2
-        residual = _max_residual(diff, through)
+        residual = diff.max_coeff_norm(through)
         records.append(
             make_record(
                 check_id=f"{rel}[k={k}]",

@@ -91,6 +91,14 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _list(doc: dict, key: str, default: list, what: str) -> list:
+    """doc[key] (or default when absent), which must be a JSON list."""
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _operator(rows, what: str) -> Operator:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ScenarioError(f"{what}: expected a list of rows")
@@ -104,13 +112,18 @@ def _operator(rows, what: str) -> Operator:
 
 def build_instance(spec: dict) -> ProlongationInstance:
     if "catalog" in spec:
+        name = spec["catalog"]
+        if not isinstance(name, str):
+            raise ScenarioError(f"instance.catalog must be a fixture name, got {name!r}")
         try:
-            return catalog_instance(spec["catalog"])
+            return catalog_instance(name)
         except KeyError as e:
             raise ScenarioError(str(e.args[0])) from e
     if "operators" not in spec:
         raise ScenarioError("instance needs either 'catalog' or 'operators'")
     ops = spec["operators"]
+    if not isinstance(ops, dict):
+        raise ScenarioError(f"instance.operators must be an object, got {ops!r}")
     for required in ("L", "M0", "P0"):
         if required not in ops:
             raise ScenarioError(f"operators: missing {required}")
@@ -159,15 +172,16 @@ def parse_scenario(text: str) -> Scenario:
     if closure_cap < 1:
         raise ScenarioError("closure_cap must be >= 1")
     t_samples = tuple(
-        _fraction(v, "t_samples") for v in doc.get("t_samples", ["1/2", "1", "2"])
+        _fraction(v, "t_samples")
+        for v in _list(doc, "t_samples", ["1/2", "1", "2"], "t_samples")
     )
-    if any(t <= 0 for t in t_samples):
-        raise ScenarioError("t_samples must be positive")
+    if not t_samples or any(t <= 0 for t in t_samples):
+        raise ScenarioError("t_samples must be a nonempty list of positive numbers")
     u_raw = doc.get("u_samples", [-2, -1, 0])
-    if not isinstance(u_raw, list) or any(
+    if not isinstance(u_raw, list) or not u_raw or any(
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in u_raw
     ):
-        raise ScenarioError(f"u_samples must be a list of numbers, got {u_raw!r}")
+        raise ScenarioError(f"u_samples must be a nonempty list of numbers, got {u_raw!r}")
     u_samples = tuple(float(v) for v in u_raw)
     k_raw = doc.get("k_range", [-4, 4])
     if not isinstance(k_raw, list) or len(k_raw) != 2:
@@ -201,8 +215,9 @@ def parse_scenario(text: str) -> Scenario:
         bad = set(scalar) - {"omega", "p0", "m0", "t_samples"}
         if bad:
             raise ScenarioError(f"unknown scalar keys: {sorted(bad)}")
-    sections = doc.get("sections", ())
-    if sections and not all(isinstance(s, dict) for s in sections):
+        _list(scalar, "t_samples", [], "scalar.t_samples")
+    sections = _list(doc, "sections", [], "sections")
+    if not all(isinstance(s, dict) for s in sections):
         raise ScenarioError("sections must be polynomial objects")
     return Scenario(
         name=doc["name"],

@@ -1,10 +1,11 @@
 """Exterior differential system for u_xx + u_yy + (e^u)_zz = 0.
 
-Forms live over a fixed coordinate ring (x, y, z, u, p, q, r, xi^1..xi^N) with
-coefficients that are exact rational polynomials times integer powers of a
-tracked exponential e^{s u}.  Everything symbolic here is exact: wedge,
-exterior derivative, pullback along a jet section, and ideal membership with
-verified multiplier witnesses.
+Forms live over a fixed coordinate ring (x, y, z, u, p, q, r, xi^1..xi^N).  One
+sparse type, DifferentialForm, holds every degree: a sum of rational terms
+c * monomial * e^{s u} * dW, so a 0-form is a coefficient-ring element and *
+is the wedge product.  Everything symbolic here is exact: wedge, exterior
+derivative, pullback along a jet section, and ideal membership with verified
+multiplier witnesses.
 
 Bracket sign convention (fixed in this one place): for linear pseudopotential
 fields with component matrices G, H acting on xi, the bracket entering the
@@ -24,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,16 +40,17 @@ from .prolong import (
 from .besselop import EPS
 from .report import VerificationReport, info_record, make_record
 
-Monomial = tuple[tuple[str, int], ...]
-TermKey = tuple[Monomial, int]  # (monomial, exponential power s)
+Monomial = tuple[tuple[int, int], ...]  # ascending (coordinate index, exponent)
+Wedge = tuple[int, ...]  # ascending coordinate indices
+TermKey = tuple[Wedge, Monomial, int]  # (wedge, monomial, exponential power s)
 
 
 class Ring:
     """Polynomial-with-exponential coefficient ring over named coordinates.
 
     exp_derivs gives the derivative of the tracked exponent with respect to
-    each coordinate (as a plain polynomial Coefficient); on the base ring the
-    exponent is the coordinate u itself, so the rule is {u: 1}.
+    each coordinate (as a polynomial 0-form); on the base ring the exponent is
+    the coordinate u itself, so the rule is {u: 1}.
     """
 
     __slots__ = ("coords", "_index", "exp_label", "exp_derivs")
@@ -59,7 +61,7 @@ class Ring:
             raise ValueError("duplicate coordinate names")
         self._index = {v: i for i, v in enumerate(self.coords)}
         self.exp_label = exp_label
-        self.exp_derivs: dict[str, "Coefficient"] = {}
+        self.exp_derivs: dict[str, "DifferentialForm"] = {}
 
     def index(self, v: str) -> int:
         try:
@@ -67,35 +69,31 @@ class Ring:
         except KeyError:
             raise KeyError(f"unknown coordinate {v!r}") from None
 
-    # -- element constructors -------------------------------------------
+    # -- element constructors: ring elements are 0-forms -----------------
 
-    def zero(self) -> "Coefficient":
-        return Coefficient(self, {})
+    def zero(self) -> "DifferentialForm":
+        return DifferentialForm(self, 0, {})
 
-    def const(self, c) -> "Coefficient":
-        c = Fraction(c)
-        return Coefficient(self, {((), 0): c} if c else {})
+    def const(self, c) -> "DifferentialForm":
+        return DifferentialForm(self, 0, {((), (), 0): Fraction(c)})
 
-    def one(self) -> "Coefficient":
+    def one(self) -> "DifferentialForm":
         return self.const(1)
 
-    def var(self, name: str, power: int = 1) -> "Coefficient":
+    def var(self, name: str, power: int = 1) -> "DifferentialForm":
         self.index(name)
-        return Coefficient(self, {(((name, power),), 0): Fraction(1)})
+        return self.monomial({name: power})
 
-    def exp(self, s: int = 1) -> "Coefficient":
+    def exp(self, s: int = 1) -> "DifferentialForm":
         """e^{s * exponent}."""
-        return Coefficient(self, {((), int(s)): Fraction(1)})
+        return DifferentialForm(self, 0, {((), (), int(s)): Fraction(1)})
 
-    def monomial(self, powers: dict[str, int], s: int = 0, c=1) -> "Coefficient":
-        mono = tuple(sorted(
-            ((v, e) for v, e in powers.items() if e), key=lambda ve: self.index(ve[0])
-        ))
-        for v, e in mono:
+    def monomial(self, powers: dict[str, int], s: int = 0, c=1) -> "DifferentialForm":
+        mono = tuple(sorted((self.index(v), e) for v, e in powers.items() if e))
+        for _i, e in mono:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        c = Fraction(c)
-        return Coefficient(self, {(mono, int(s)): c} if c else {})
+        return DifferentialForm(self, 0, {((), mono, int(s)): Fraction(c)})
 
 
 def base_ring(n_xi: int = 0) -> Ring:
@@ -114,150 +112,32 @@ def base_ring(n_xi: int = 0) -> Ring:
 _BASE_RINGS: dict[int, Ring] = {}
 
 
-def _mono_mul(a: Monomial, b: Monomial, ring: Ring) -> Monomial:
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
     if not b:
         return a
-    acc: dict[str, int] = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items(), key=lambda ve: ring.index(ve[0])))
+    acc = dict(a)
+    for i, e in b:
+        acc[i] = acc.get(i, 0) + e
+    return tuple(sorted(acc.items()))
 
 
-class Coefficient:
-    """Exact element: sum of (rational) * monomial * e^{s*exponent}."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: Ring, terms: dict[TermKey, Fraction]):
-        self.ring = ring
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("coefficients are not hashable")
-
-    def _require(self, other: "Coefficient") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("coefficients from different rings")
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        self._require(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Coefficient(self.ring, out)
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        self._require(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return Coefficient(self.ring, out)
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(self.ring, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c) -> "Coefficient":
-        c = Fraction(c)
-        if not c:
-            return self.ring.zero()
-        return Coefficient(self.ring, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        self._require(other)
-        out: dict[TermKey, Fraction] = {}
-        for (ma, sa), ca in self.terms.items():
-            for (mb, sb), cb in other.terms.items():
-                key = (_mono_mul(ma, mb, self.ring), sa + sb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Coefficient(self.ring, out)
-
-    def power(self, e: int) -> "Coefficient":
-        if e < 0:
-            raise ValueError("negative power")
-        acc = self.ring.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def diff(self, v: str) -> "Coefficient":
-        ring = self.ring
-        ring.index(v)
-        out: dict[TermKey, Fraction] = {}
-        dexp = ring.exp_derivs.get(v)
-        for (mono, s), c in self.terms.items():
-            for i, (name, e) in enumerate(mono):
-                if name != v:
-                    continue
-                rest = mono[:i] + ((name, e - 1),) + mono[i + 1 :]
-                rest = tuple(ve for ve in rest if ve[1])
-                key = (rest, s)
-                out[key] = out.get(key, Fraction(0)) + c * e
-            if s and dexp is not None and not dexp.is_zero():
-                base = Coefficient(ring, {(mono, s): c * s})
-                for k2, v2 in (base * dexp).terms.items():
-                    out[k2] = out.get(k2, Fraction(0)) + v2
-        return Coefficient(ring, out)
-
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for (mono, _s), _c in self.terms.items():
-            out.update(v for v, _ in mono)
-        return out
-
-    def l1(self) -> Fraction:
-        return sum((abs(v) for v in self.terms.values()), Fraction(0))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        parts = []
-        for (mono, s), c in sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][1], tuple((ring.index(v), e) for v, e in kv[0][0])),
-        ):
-            bits = []
-            if c != 1 or (not mono and not s):
-                bits.append(str(c))
-            for v, e in mono:
-                bits.append(v if e == 1 else f"{v}^{e}")
-            if s:
-                sl = ring.exp_label
-                if s == 1:
-                    bits.append(f"e^{sl}")
-                elif s == -1:
-                    bits.append(f"e^-{sl}")
-                else:
-                    bits.append(f"e^{s}{sl}")
-            parts.append("*".join(bits) if bits else "1")
-        return " + ".join(parts)
-
-
-def _merge_wedge(ring: Ring, wa: tuple[str, ...], wb: tuple[str, ...]):
-    """Merge two ascending wedge tuples; returns (sign, merged) or (0, None)."""
-    ia = [ring.index(v) for v in wa]
-    ib = [ring.index(v) for v in wb]
-    out: list[str] = []
+def _merge_wedge(wa: Wedge, wb: Wedge) -> tuple[int, Wedge]:
+    """Merge two ascending wedges; returns (sign, merged), or (0, ()) on a repeat."""
+    if not wa or not wb:
+        return 1, wa or wb
+    out: list[int] = []
     sign = 1
     i = j = 0
-    while i < len(ia) and j < len(ib):
-        if ia[i] == ib[j]:
-            return 0, None
-        if ia[i] < ib[j]:
+    while i < len(wa) and j < len(wb):
+        if wa[i] == wb[j]:
+            return 0, ()
+        if wa[i] < wb[j]:
             out.append(wa[i])
             i += 1
         else:
-            if (len(ia) - i) % 2:
+            if (len(wa) - i) % 2:
                 sign = -sign
             out.append(wb[j])
             j += 1
@@ -266,34 +146,28 @@ def _merge_wedge(ring: Ring, wa: tuple[str, ...], wb: tuple[str, ...]):
     return sign, tuple(out)
 
 
-def _sort_wedge(ring: Ring, w: Sequence[str]):
-    """Sort an arbitrary wedge tuple; returns (sign, tuple) or (0, None)."""
-    sign = 1
-    acc: tuple[str, ...] = ()
-    for v in w:
-        s2, acc2 = _merge_wedge(ring, acc, (v,))
-        if s2 == 0:
-            return 0, None
-        sign *= s2
-        acc = acc2
-    return sign, acc
+def _add_term(out: dict[TermKey, Fraction], key: TermKey, v: Fraction) -> None:
+    x = out.get(key)
+    out[key] = v if x is None else x + v
 
 
 class DifferentialForm:
-    """Exact differential form of homogeneous degree."""
+    """Exact differential form of homogeneous degree.
+
+    terms maps (wedge, monomial, s) to the rational c of the term
+    c * monomial * e^{s*exponent} * d(wedge).  A 0-form is a ring element,
+    and * is the wedge product.
+    """
 
     __slots__ = ("ring", "degree", "terms")
 
-    def __init__(self, ring: Ring, degree: int, terms: dict[tuple[str, ...], Coefficient]):
+    def __init__(self, ring: Ring, degree: int, terms: dict[TermKey, Fraction]):
         self.ring = ring
         self.degree = degree
-        clean: dict[tuple[str, ...], Coefficient] = {}
-        for w, c in terms.items():
+        for w, _m, _s in terms:
             if len(w) != degree:
                 raise ValueError(f"wedge {w} has wrong length for degree {degree}")
-            if not c.is_zero():
-                clean[w] = c
-        self.terms = clean
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @classmethod
     def zero(cls, ring: Ring, degree: int) -> "DifferentialForm":
@@ -323,113 +197,122 @@ class DifferentialForm:
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         self._require(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out[w] + c if w in out else c
+        for k, v in other.terms.items():
+            _add_term(out, k, v)
         return DifferentialForm(self.ring, self.degree, out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._require(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out[w] - c if w in out else -c
-        return DifferentialForm(self.ring, self.degree, out)
+        return self + -other
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(
-            self.ring, self.degree, {w: -c for w, c in self.terms.items()}
-        )
+        return DifferentialForm(self.ring, self.degree, {k: -v for k, v in self.terms.items()})
 
     def scale(self, c) -> "DifferentialForm":
-        return DifferentialForm(
-            self.ring, self.degree, {w: co.scale(c) for w, co in self.terms.items()}
-        )
+        c = Fraction(c)
+        return DifferentialForm(self.ring, self.degree, {k: c * v for k, v in self.terms.items()})
 
-    def mul_coeff(self, c: Coefficient) -> "DifferentialForm":
-        if c.ring is not self.ring:
-            raise ValueError("coefficient from different ring")
-        return DifferentialForm(
-            self.ring, self.degree, {w: co * c for w, co in self.terms.items()}
-        )
+    def __mul__(self, other: "DifferentialForm") -> "DifferentialForm":
+        """Wedge product; for 0-forms, the ring product."""
+        if self.ring is not other.ring:
+            raise ValueError("forms from different rings")
+        out: dict[TermKey, Fraction] = {}
+        for (wa, ma, sa), ca in self.terms.items():
+            for (wb, mb, sb), cb in other.terms.items():
+                sign, w = _merge_wedge(wa, wb)
+                if sign:
+                    v = ca * cb
+                    _add_term(out, (w, _mono_mul(ma, mb), sa + sb), v if sign > 0 else -v)
+        return DifferentialForm(self.ring, self.degree + other.degree, out)
+
+    def power(self, e: int) -> "DifferentialForm":
+        if e < 0:
+            raise ValueError("negative power")
+        acc = self.ring.one()
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    def diff(self, v: str) -> "DifferentialForm":
+        """Partial derivative of every coefficient with respect to v."""
+        ring = self.ring
+        i = ring.index(v)
+        dexp = ring.exp_derivs.get(v)
+        out: dict[TermKey, Fraction] = {}
+        for (w, mono, s), c in self.terms.items():
+            for pos, (j, e) in enumerate(mono):
+                if j == i:
+                    lowered = ((j, e - 1),) if e > 1 else ()
+                    _add_term(out, (w, mono[:pos] + lowered + mono[pos + 1 :], s), c * e)
+                    break
+            if s and dexp is not None:
+                for (_w, m2, s2), c2 in dexp.terms.items():
+                    _add_term(out, (w, _mono_mul(mono, m2), s + s2), c * s * c2)
+        return DifferentialForm(ring, self.degree, out)
 
     def l1(self) -> Fraction:
-        return sum((c.l1() for c in self.terms.values()), Fraction(0))
+        return sum((abs(v) for v in self.terms.values()), Fraction(0))
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for c in self.terms.values():
-            out |= c.variables()
-        return out
+        return {self.ring.coords[i] for _w, mono, _s in self.terms for i, _e in mono}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        parts = []
-        for w, c in sorted(
-            self.terms.items(), key=lambda wc: tuple(ring.index(v) for v in wc[0])
+        by_wedge: dict[Wedge, list[str]] = {}
+        for (w, mono, s), c in sorted(
+            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][2], kv[0][1])
         ):
-            dw = "^".join(f"d{v}" for v in w) if w else "1"
-            cs = str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs} {dw}".strip())
-        return " + ".join(parts)
+            by_wedge.setdefault(w, []).append(self._term_str(mono, s, c))
+        parts = []
+        for w, bits in by_wedge.items():
+            cs = " + ".join(bits)
+            if w:
+                dw = "^".join(f"d{self.ring.coords[i]}" for i in w)
+                cs = f"({cs}) {dw}" if len(bits) > 1 else f"{cs} {dw}"
+            parts.append(cs)
+        return " + ".join(parts) or "0"
+
+    def _term_str(self, mono: Monomial, s: int, c: Fraction) -> str:
+        bits = []
+        if c != 1 or (not mono and not s):
+            bits.append(str(c))
+        for i, e in mono:
+            v = self.ring.coords[i]
+            bits.append(v if e == 1 else f"{v}^{e}")
+        if s:
+            sl = self.ring.exp_label
+            if s == 1:
+                bits.append(f"e^{sl}")
+            elif s == -1:
+                bits.append(f"e^-{sl}")
+            else:
+                bits.append(f"e^{s}{sl}")
+        return "*".join(bits)
 
 
-def one_form(ring: Ring, var: str, coeff: Optional[Coefficient] = None) -> DifferentialForm:
+def one_form(ring: Ring, var: str, coeff: Optional[DifferentialForm] = None) -> DifferentialForm:
     """coeff * d(var)."""
-    ring.index(var)
-    return DifferentialForm(ring, 1, {(var,): coeff if coeff is not None else ring.one()})
+    dv = DifferentialForm(ring, 1, {((ring.index(var),), (), 0): Fraction(1)})
+    return dv if coeff is None else coeff * dv
 
 
-def form_from_wedge(ring: Ring, wedge_vars: Sequence[str], coeff=None) -> DifferentialForm:
-    """coeff * d(v1)^d(v2)^... with the written order (sign normalized)."""
-    sign, w = _sort_wedge(ring, tuple(wedge_vars))
-    if sign == 0:
-        return DifferentialForm.zero(ring, len(wedge_vars))
-    c = coeff if isinstance(coeff, Coefficient) else ring.const(coeff if coeff is not None else 1)
-    return DifferentialForm(ring, len(wedge_vars), {w: c.scale(sign)})
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    if a.ring is not b.ring:
-        raise ValueError("forms from different rings")
-    ring = a.ring
-    out: dict[tuple[str, ...], Coefficient] = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            sign, w = _merge_wedge(ring, wa, wb)
-            if sign == 0:
-                continue
-            c = (ca * cb).scale(sign)
-            out[w] = out[w] + c if w in out else c
-    return DifferentialForm(ring, a.degree + b.degree, out)
-
-
-def wedge_all(forms: Sequence[DifferentialForm]) -> DifferentialForm:
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
+def form_from_wedge(ring: Ring, wedge_vars: Sequence[str], coeff=1) -> DifferentialForm:
+    """coeff * d(v1)^d(v2)^... in the written order."""
+    acc = coeff if isinstance(coeff, DifferentialForm) else ring.const(coeff)
+    for v in wedge_vars:
+        acc = acc * one_form(ring, v)
     return acc
 
 
+def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
+    return a * b
+
+
 def ext_d(a: DifferentialForm) -> DifferentialForm:
-    """Exterior derivative: d(c dW) = sum_v (dc/dv) dv ^ dW."""
+    """Exterior derivative: d a = sum_v dv ^ (da/dv)."""
     ring = a.ring
-    out: dict[tuple[str, ...], Coefficient] = {}
-    for w, c in a.terms.items():
-        for v in ring.coords:
-            if v in w:
-                continue
-            dc = c.diff(v)
-            if dc.is_zero():
-                continue
-            sign, merged = _merge_wedge(ring, (v,), w)
-            if sign == 0:
-                continue
-            dc = dc.scale(sign)
-            out[merged] = out[merged] + dc if merged in out else dc
-    return DifferentialForm(ring, a.degree + 1, out)
+    out = DifferentialForm.zero(ring, a.degree + 1)
+    for v in ring.coords:
+        out = out + one_form(ring, v) * a.diff(v)
+    return out
 
 
 # -- the exterior ideal ------------------------------------------------------
@@ -447,14 +330,14 @@ def base_ideal(ring: Optional[Ring] = None) -> tuple[DifferentialForm, ...]:
         ring = base_ring()
     f = lambda *vs: form_from_wedge(ring, vs)
     dxdydz = f("x", "y", "z")
-    theta1 = f("u", "x", "y") - dxdydz.mul_coeff(ring.var("r"))
-    theta2 = f("u", "y", "z") - dxdydz.mul_coeff(ring.var("p"))
-    theta3 = f("u", "x", "z") + dxdydz.mul_coeff(ring.var("q"))
+    theta1 = f("u", "x", "y") - ring.var("r") * dxdydz
+    theta2 = f("u", "y", "z") - ring.var("p") * dxdydz
+    theta3 = f("u", "x", "z") + ring.var("q") * dxdydz
     theta4 = (
         f("p", "y", "z")
         - f("q", "x", "z")
-        + f("r", "x", "y").mul_coeff(ring.exp(1))
-        + dxdydz.mul_coeff(ring.exp(1) * ring.var("r", 2))
+        + ring.exp(1) * f("r", "x", "y")
+        + ring.exp(1) * ring.var("r", 2) * dxdydz
     )
     return (theta1, theta2, theta3, theta4)
 
@@ -462,7 +345,7 @@ def base_ideal(ring: Optional[Ring] = None) -> tuple[DifferentialForm, ...]:
 # -- sections and pullback ---------------------------------------------------
 
 
-def parse_polynomial(spec: dict, ring: Ring) -> Coefficient:
+def parse_polynomial(spec: dict, ring: Ring) -> DifferentialForm:
     """Polynomial from {"x^2*y": "3/2", "1": 2, ...} over the given ring."""
     acc = ring.zero()
     for mono_s, coeff in spec.items():
@@ -486,89 +369,56 @@ class Section:
     dE/dv = f_v E.
     """
 
-    def __init__(self, f_spec: Union[dict, Coefficient]):
+    def __init__(self, f_spec: dict):
         ring = Ring(("x", "y", "z"), exp_label="f")
-        if isinstance(f_spec, Coefficient):
-            f = Coefficient(ring, dict(f_spec.terms))
-        else:
-            f = parse_polynomial(f_spec, ring)
+        f = parse_polynomial(f_spec, ring)
         self.ring = ring
         self.f = f
         self.fx, self.fy, self.fz = (f.diff(v) for v in ("x", "y", "z"))
         ring.exp_derivs = {"x": self.fx, "y": self.fy, "z": self.fz}
-        self._subs = {"u": self.f, "p": self.fx, "q": self.fy, "r": self.fz}
-        self._dsubs = {
-            "x": one_form(ring, "x"),
-            "y": one_form(ring, "y"),
-            "z": one_form(ring, "z"),
-            "u": self._grad(self.f),
-            "p": self._grad(self.fx),
-            "q": self._grad(self.fy),
-            "r": self._grad(self.fz),
-        }
-
-    def _grad(self, g: Coefficient) -> DifferentialForm:
-        ring = self.ring
-        out = DifferentialForm.zero(ring, 1)
-        for v in ("x", "y", "z"):
-            dg = g.diff(v)
-            if not dg.is_zero():
-                out = out + one_form(ring, v, dg)
-        return out
-
-    def pull_coefficient(self, c: Coefficient) -> Coefficient:
-        ring = self.ring
-        acc = ring.zero()
-        for (mono, s), val in c.terms.items():
-            piece = ring.const(val)
-            if s:
-                piece = piece * ring.exp(s)
-            for v, e in mono:
-                if v in ("x", "y", "z"):
-                    piece = piece * ring.var(v, e)
-                elif v in self._subs:
-                    piece = piece * self._subs[v].power(e)
-                else:
-                    raise ValueError(f"cannot pull back coordinate {v!r}")
-            acc = acc + piece
-        return acc
+        self._subs = {v: ring.var(v) for v in ring.coords}
+        self._subs.update(u=f, p=self.fx, q=self.fy, r=self.fz)
+        self._dsubs = {v: ext_d(g) for v, g in self._subs.items()}
 
     def pullback(self, form: DifferentialForm) -> DifferentialForm:
         ring = self.ring
+        names = form.ring.coords
+        # pull each wedge's coefficient first, so it is multiplied once into
+        # the wedge of the pulled differentials
+        coeffs: dict[Wedge, DifferentialForm] = {}
+        for (w, mono, s), c in form.terms.items():
+            piece = DifferentialForm(ring, 0, {((), (), s): c})
+            for i, e in mono:
+                try:
+                    piece = piece * self._subs[names[i]].power(e)
+                except KeyError:
+                    raise ValueError(f"cannot pull back coordinate {names[i]!r}") from None
+            coeffs[w] = coeffs[w] + piece if w in coeffs else piece
         out = DifferentialForm.zero(ring, form.degree)
-        for w, c in form.terms.items():
+        for w, pc in coeffs.items():
             try:
-                pulled = [self._dsubs[v] for v in w]
+                pulled = [self._dsubs[names[i]] for i in w]
             except KeyError as e:
                 raise ValueError(f"cannot pull back d{e.args[0]}") from None
-            pc = self.pull_coefficient(c)
-            if pc.is_zero():
-                continue
-            if w:
-                piece = wedge_all(pulled).mul_coeff(pc)
-            else:
-                piece = DifferentialForm(ring, 0, {(): pc})
-            out = out + piece
+            dw = ring.one()
+            for dv in pulled:
+                dw = dw * dv
+            out = out + pc * dw
         return out
 
 
 def random_section(rng: random.Random, degree: int = 3, n_terms: int = 6) -> Section:
     """Seeded random polynomial section of total degree <= degree."""
-    ring3 = Ring(("x", "y", "z"))
-    acc = ring3.zero()
     monos = [
-        m
+        "*".join(m) or "1"
         for d in range(degree + 1)
         for m in itertools.combinations_with_replacement(("x", "y", "z"), d)
     ]
+    spec: dict[str, Fraction] = {}
     for _ in range(n_terms):
         m = rng.choice(monos)
-        powers: dict[str, int] = {}
-        for v in m:
-            powers[v] = powers.get(v, 0) + 1
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        acc = acc + ring3.monomial(powers, 0, c)
-    return Section(acc)
+        spec[m] = spec.get(m, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Section(spec)
 
 
 def check_proposition1(section: Section) -> VerificationReport:
@@ -577,37 +427,26 @@ def check_proposition1(section: Section) -> VerificationReport:
     theta1..theta3 must vanish identically; theta4 must pull back to
     (f_xx + f_yy + e^f (f_zz + f_z^2)) dx^dy^dz, the heavenly operator on f.
     """
-    thetas = base_ideal()
-    pulled = [section.pullback(th) for th in thetas]
     ring = section.ring
-    records = []
-    for i, pf in enumerate(pulled[:3], start=1):
-        records.append(
-            make_record(
-                f"theta{i}-pullback",
-                "eds-proposition1",
-                f"section* theta{i} = 0",
-                float(pf.l1()),
-                0.0,
-                detail=f"f = {section.f}",
-            )
+    fz = section.fz
+    heavenly = section.fx.diff("x") + section.fy.diff("y") + (fz.diff("z") + fz * fz) * ring.exp(1)
+    expected = [(DifferentialForm.zero(ring, 3), "0")] * 3 + [
+        (
+            form_from_wedge(ring, ("x", "y", "z"), heavenly),
+            "(f_xx + f_yy + e^f (f_zz + f_z^2)) dx^dy^dz",
         )
-    fxx = section.fx.diff("x")
-    fyy = section.fy.diff("y")
-    fzz = section.fz.diff("z")
-    heavenly = fxx + fyy + (fzz + section.fz * section.fz) * ring.exp(1)
-    expected = form_from_wedge(ring, ("x", "y", "z"), heavenly)
-    diff = pulled[3] - expected
-    records.append(
+    ]
+    records = [
         make_record(
-            "theta4-pullback",
+            f"theta{i}-pullback",
             "eds-proposition1",
-            "section* theta4 = (f_xx + f_yy + e^f (f_zz + f_z^2)) dx^dy^dz",
-            float(diff.l1()),
+            f"section* theta{i} = {rhs}",
+            float((section.pullback(th) - want).l1()),
             0.0,
             detail=f"f = {section.f}",
         )
-    )
+        for i, (th, (want, rhs)) in enumerate(zip(base_ideal(), expected), start=1)
+    ]
     return VerificationReport(name="proposition1", records=tuple(records))
 
 
@@ -626,12 +465,11 @@ def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Mon
     out: list[Monomial] = []
     for d in range(degree + 1):
         for combo in itertools.combinations_with_replacement(sorted(varset), d):
-            powers: dict[str, int] = {}
+            powers: dict[int, int] = {}
             for v in combo:
-                powers[v] = powers.get(v, 0) + 1
-            out.append(
-                tuple(sorted(powers.items(), key=lambda ve: ring.index(ve[0])))
-            )
+                i = ring.index(v)
+                powers[i] = powers.get(i, 0) + 1
+            out.append(tuple(sorted(powers.items())))
     return out
 
 
@@ -742,11 +580,11 @@ def _membership_attempt(
     ring = target.ring
     monos = _monomials_up_to(varset, degree, ring)
     s_values = (-1, 0, 1)
-    basis: list[tuple[int, Optional[str], Monomial, int]] = []
-    row_keys: dict[tuple[tuple[str, ...], TermKey], int] = {}
+    basis: list[tuple[int, Wedge, Monomial, int]] = []
+    row_keys: dict[TermKey, int] = {}
     rows: list[dict[int, Fraction]] = []
 
-    def row_index(key) -> int:
+    def row_index(key: TermKey) -> int:
         idx = row_keys.setdefault(key, len(rows))
         if idx == len(rows):
             rows.append({})
@@ -754,55 +592,39 @@ def _membership_attempt(
 
     for j, g in enumerate(gens):
         gap = target.degree - g.degree
-        dvs: Sequence[Optional[str]] = ring.coords if gap == 1 else (None,)
-        for dv in dvs:
-            prod = wedge(one_form(ring, dv), g) if dv is not None else g
-            terms = [
-                (w, m, sm, val) for w, c in prod.terms.items() for (m, sm), val in c.terms.items()
-            ]
-            if not terms:
+        for dw in [(i,) for i in range(len(ring.coords))] if gap else [()]:
+            prod = DifferentialForm(ring, gap, {(dw, (), 0): Fraction(1)}) * g
+            if prod.is_zero():
                 continue
             for mono in monos:
-                shifted = [(w, _mono_mul(mono, m, ring), sm, val) for w, m, sm, val in terms]
+                shifted = [
+                    (w, _mono_mul(mono, m), sm, val) for (w, m, sm), val in prod.terms.items()
+                ]
                 for s in s_values:
                     ci = len(basis)
-                    basis.append((j, dv, mono, s))
+                    basis.append((j, dw, mono, s))
                     for w, m, sm, val in shifted:
-                        rows[row_index((w, (m, s + sm)))][ci] = val
-    rhs_map: dict[int, Fraction] = {}
-    for w, c in target.terms.items():
-        for tk, val in c.terms.items():
-            rhs_map[row_index((w, tk))] = val
+                        rows[row_index((w, m, s + sm))][ci] = val
+    rhs_map = {row_index(key): val for key, val in target.terms.items()}
     rhs = [rhs_map.get(i, Fraction(0)) for i in range(len(rows))]
     sol = _solve_exact(rows, rhs)
     if sol is None:
         return None
-    multipliers = []
-    for j, g in enumerate(gens):
-        gap = target.degree - g.degree
-        acc = DifferentialForm.zero(ring, gap)
-        multipliers.append(acc)
-    for ci, (j, dv, mono, s) in enumerate(basis):
-        c = sol.get(ci, Fraction(0))
-        if not c:
-            continue
-        coeff = Coefficient(ring, {(mono, s): c})
-        if dv is not None:
-            piece = one_form(ring, dv, coeff)
-        else:
-            piece = DifferentialForm(ring, 0, {(): coeff})
-        multipliers[j] = multipliers[j] + piece
+    sigma_terms: list[dict[TermKey, Fraction]] = [{} for _ in gens]
+    for ci, (j, dw, mono, s) in enumerate(basis):
+        if sol.get(ci):
+            sigma_terms[j][(dw, mono, s)] = sol[ci]
+    multipliers = tuple(
+        DifferentialForm(ring, target.degree - g.degree, terms)
+        for g, terms in zip(gens, sigma_terms)
+    )
     # exact verification is part of the contract
     acc = DifferentialForm.zero(ring, target.degree)
     for sigma, g in zip(multipliers, gens):
-        if sigma.degree == 0:
-            c = sigma.terms.get((), ring.zero())
-            acc = acc + g.mul_coeff(c)
-        else:
-            acc = acc + wedge(sigma, g)
+        acc = acc + sigma * g
     if not (acc - target).is_zero():
         return None
-    return MembershipWitness(multipliers=tuple(multipliers), degree=degree)
+    return MembershipWitness(multipliers=multipliers, degree=degree)
 
 
 def closure_check(cap: int = 3) -> VerificationReport:

@@ -420,7 +420,12 @@ def norm_bound(a: Operator) -> NormBound:
 
 
 def frobenius(a: Operator) -> float:
-    """Convenience float Frobenius norm (upper bound in exact mode)."""
+    """Float Frobenius norm.
+
+    In exact mode this is the square root of the correctly rounded sum of
+    squares: a nearest float, which can fall below the true norm.  Where an
+    upper bound is needed, use `norm_bound(a).root_upper`.
+    """
     if a.mode == EXACT:
         # correctly rounded, so equal to float() of the reduced Fraction
         return math.sqrt(_square_sum(a) / (a.denominator * a.denominator))

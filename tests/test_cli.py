@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from heavenlab.cli import (
     INSTANCE_FREE,
@@ -196,6 +198,15 @@ def test_main_verify_exit_codes(tmp_path, capsys):
         ("k_range", [-1, 2.5]),
         ("closure_cap", True),
         ("closure_cap", "3"),
+        ("t_samples", 5),
+        ("t_samples", "12"),
+        ("t_samples", []),
+        ("u_samples", []),
+        ("sections", 5),
+        ("sections", None),
+        ("scalar", {"t_samples": 5}),
+        ("instance", {"catalog": ["x"]}),
+        ("instance", {"operators": 5}),
     ],
 )
 def test_main_rejects_mistyped_scenario_value(tmp_path, capsys, key, value):
@@ -348,3 +359,87 @@ def test_main_rejects_singular_B(tmp_path, capsys):
     }))
     assert main(["verify", str(path)]) == 2
     assert "operators.B: singular" in capsys.readouterr().err
+
+
+# small valid scenarios (exit 0), one per way of giving the instance
+SMALL = {
+    "name": "small",
+    "instance": {"catalog": "diag2"},
+    "mode": "exact",
+    "degree": 4,
+    "cutoff": 1,
+    "t_samples": ["1/2"],
+    "u_samples": [0],
+    "k_range": [-1, 1],
+    "seed": 1,
+    "suites": ["scalar-reduction", "compatibility", "eds-proposition1"],
+    "scalar": {"omega": 1, "t_samples": ["1"]},
+    "sections": [{"x*y": "-1/2"}],
+    "closure_cap": 1,
+}
+SMALL_OPERATORS = {
+    **SMALL,
+    "instance": {
+        "operators": {"L": [[0, 1], [0, 0]], "M0": [[0, 0], [0, 0]], "P0": [[1, 0], [0, 1]]}
+    },
+}
+
+
+def _paths(value, prefix=()):
+    """Every key path into nested objects and lists."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, prefix + (k,))
+
+
+def _json_type(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def _retyped(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
+_RETYPE_SITES = [(base, path) for base in (SMALL, SMALL_OPERATORS) for path in _paths(base)]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("base", [SMALL, SMALL_OPERATORS], ids=["catalog", "operators"])
+def test_small_scenarios_pass(tmp_path, base):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(base))
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.txt")]) == 0
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(site=st.sampled_from(_RETYPE_SITES), data=st.data())
+def test_main_survives_any_retyped_value(tmp_path, site, data):
+    # one value of a valid scenario becomes a value of another JSON type:
+    # main reports a verdict or rejects the file, never raises
+    base, key_path = site
+    original = base
+    for k in key_path:
+        original = original[k]
+    value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(original)))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_retyped(base, key_path, value)))
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.txt")]) in (0, 1, 2)

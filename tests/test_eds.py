@@ -39,7 +39,7 @@ def _random_form(rng: random.Random, ring: Ring, degree: int) -> DifferentialFor
             powers, rng.choice((-1, 0, 1)), Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         )
         if degree == 0:
-            form = form + DifferentialForm(ring, 0, {(): c})
+            form = form + c
         else:
             form = form + form_from_wedge(ring, w, c)
     return form
@@ -121,7 +121,7 @@ def test_d_leibniz_rule():
 
 def test_exponential_derivative_rule():
     # d(e^-u) = -e^-u du on the base ring
-    c0 = DifferentialForm(R, 0, {(): R.exp(-1)})
+    c0 = R.exp(-1)
     assert ext_d(c0) == one_form(R, "u", R.exp(-1).scale(-1))
 
 
@@ -232,7 +232,7 @@ def test_membership_found_with_full_ideal_but_not_theta1_alone():
 
 def test_membership_zero_degree_gap():
     th1 = base_ideal()[0]
-    target = th1.mul_coeff(R.var("p"))
+    target = th1 * R.var("p")
     w = ideal_membership(target, [th1], multiplier_degree=1)
     assert w is not None
     assert w.multipliers[0].degree == 0

@@ -196,6 +196,12 @@ def test_expected_fail_instance_flagged():
     assert verdicts["ad-commutation"] == "fail"
 
 
+def test_compatibility_check_refuses_float_instance():
+    # its bounds are 0, which only an exact residual can meet
+    with pytest.raises(ValueError, match="exact instance"):
+        compatibility_check(catalog_instance("diag2").to_float())
+
+
 def test_compatibility_passes_on_solvable_catalog():
     for name in catalog_names():
         if name == "expected-fail2":

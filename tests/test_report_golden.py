@@ -5,9 +5,10 @@ mode, and the sha256 of each structured report is compared with the golden
 table `report_golden.json`.  The table also holds the scenarios of
 `EXPLICIT`: an explicit-operator instance, because the catalog is mostly
 nilpotent, so its series tails vanish, while that instance makes every
-truncation bound nonzero; and a catalog fixture with `degree`, `cutoff`, both
-sample lists and the `scalar` block away from their defaults.  A change that is meant to alter what a
-report says rewrites the table:
+truncation bound nonzero; a catalog fixture with `degree`, `cutoff`, both
+sample lists and the `scalar` block away from their defaults; and the two exact
+exterior-algebra suites on sections of their own.  A change that is meant to
+alter what a report says rewrites the table:
 
     PYTHONPATH=src python3 tests/test_report_golden.py
 """
@@ -46,6 +47,17 @@ EXPLICIT = {
         "t_samples": ["1/3", "3/2"],
         "u_samples": [-1.5, 0.5],
         "scalar": {"omega": "2/3", "p0": "3", "m0": "-1/2", "t_samples": ["1/4", "5/2"]},
+    },
+    # the eds suites alone, on sections whose printed polynomial (the `f = ...`
+    # detail) has several variables per monomial, negative and rational
+    # coefficients, a constant term, and monomials written out of order
+    "eds-sections": {
+        "instance": None,
+        "suites": ["eds-proposition1", "eds-closure"],
+        "sections": [
+            {"z*x^2": "-3/2", "y*z^2": "2/5", "x*z": -1, "1": "7/3"},
+            {"z^3": "1/4", "y*x*y": -2, "x*y*z": "5", "1": "-1"},
+        ],
     },
 }
 
