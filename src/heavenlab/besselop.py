@@ -9,6 +9,14 @@ so for m >= 0 the t^{m+2j} coefficient is
 are truncated polynomials in t with Operator coefficients; the rational scalar
 coefficients are always computed exactly (big-integer factorials) and rounded
 once when the series lives in float mode.
+
+In exact mode every sum of Bessel coefficients at a rational t is one
+rational combination of the powers of X: `series_eval` adds c_j t^j over the
+nonzero coefficients, and `sum_rule_residual` sums the scalar coefficients
+over m before it scales each power of X once.  Exact results are canonical,
+so these routes give the same bits as Horner's rule.  Float mode keeps
+Horner and the sum of one series per index, because the roundoff of those
+routes is what the float bounds cover.
 """
 from __future__ import annotations
 
@@ -132,12 +140,26 @@ class OperatorSeries:
 
 
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
-    """Horner evaluation at t (Fraction in exact mode, float otherwise)."""
-    if s.mode == EXACT and not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-    acc = s.coeffs[-1]
-    for j in range(s.degree - 1, -1, -1):
-        acc = acc.scale(t) + s.coeffs[j]
+    """The series at t (Fraction in exact mode, float otherwise), and its tail.
+
+    Exact mode sums c_j t^j over the nonzero coefficients only.  Exact
+    arithmetic makes this equal to Horner's rule, and an exact Operator is
+    canonical, so the result is bit-identical; but it never rescales a dense
+    accumulator once per degree.  Float mode keeps Horner: its rounding is
+    what the float checks bound.
+    """
+    if s.mode == EXACT:
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
+        acc = s.coeffs[0]
+        for j in range(1, s.degree + 1):
+            c = s.coeffs[j]
+            if not c.is_zero():
+                acc = acc + c.scale(t**j)
+    else:
+        acc = s.coeffs[-1]
+        for j in range(s.degree - 1, -1, -1):
+            acc = acc.scale(t) + s.coeffs[j]
     t_abs = abs(float(t))
     tail = TailBound(s.tail_fn(t_abs) if s.tail_fn is not None else 0.0)
     return acc, tail
@@ -401,19 +423,40 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
 
     Returns (residual, bound) where bound combines the bilateral index tail
     with the per-series truncation tails (plus roundoff in float mode).
+
+    Every J_m(tX) is sum_d q_{m,d} t^d X^d, so in exact mode the residual is
+    sum_d s_d t^d X^d with the scalar s_d = sum_m q_{m,d} - [d = 0]: the
+    rational work is done on scalars, and each power of X is scaled at most
+    once, where s_d is nonzero.  Float mode evaluates each J_m by Horner and
+    sums, since the roundoff of that route is what its bound covers.  Both
+    modes add up the same tails in the same order.
     """
+    t_abs = abs(float(t))
+    r = t_abs * frobenius(X) / 2.0
+    tail_sum = 0.0
+    if X.mode == EXACT:
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
+        powers = [Operator.identity(X.dim, EXACT)]
+        while len(powers) <= D:
+            powers.append(powers[-1] @ X)
+        s = [Fraction(-1)] + [Fraction(0)] * D
+        for m_idx in range(-K, K + 1):
+            for deg, q in bessel_terms(m_idx, D):
+                s[deg] += q
+            tail_sum += bessel_tail(r, m_idx, D)
+        resid_op = Operator.zero(X.dim, EXACT)
+        for deg, sd in enumerate(s):
+            if sd:
+                resid_op = resid_op + powers[deg].scale(sd * t**deg)
+        return frobenius(resid_op), bilateral_tail(r, K) + tail_sum
     powers = [Operator.identity(X.dim, X.mode)]
     acc = Operator.zero(X.dim, X.mode)
-    tail_sum = 0.0
-    t_abs = abs(float(t))
     for m_idx in range(-K, K + 1):
-        s = bessel_series(X, m_idx, D, powers=powers)
-        val, tb = series_eval(s, t)
+        val, tb = series_eval(bessel_series(X, m_idx, D, powers=powers), t)
         acc = acc + val
         tail_sum += tb.value
     resid = frobenius(acc - Operator.identity(X.dim, X.mode))
-    r = t_abs * frobenius(X) / 2.0
     bound = bilateral_tail(r, K) + tail_sum
-    if X.mode == FLOAT:
-        bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
+    bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
     return resid, bound

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -421,6 +422,14 @@ def random_section(rng: random.Random, degree: int = 3, n_terms: int = 6) -> Sec
     return Section(spec)
 
 
+def _float_residual(x: Fraction) -> float:
+    """float(x), but at least the smallest subnormal when x is nonzero.
+
+    A residual judged against bound 0 must not round to a pass.
+    """
+    return float(x) or (math.ulp(0.0) if x else 0.0)
+
+
 def check_proposition1(section: Section) -> VerificationReport:
     """Pull the four generators back along the section.
 
@@ -441,7 +450,7 @@ def check_proposition1(section: Section) -> VerificationReport:
             f"theta{i}-pullback",
             "eds-proposition1",
             f"section* theta{i} = {rhs}",
-            float((section.pullback(th) - want).l1()),
+            _float_residual((section.pullback(th) - want).l1()),
             0.0,
             detail=f"f = {section.f}",
         )

@@ -16,7 +16,10 @@ L^j = 0 for j >= n), so `@`, `+`, `-` and `scale` return an exact zero
 operand, or the other operand, as it is.  They do so only after the mode,
 dimension and scalar checks, so a mismatch still raises.  Since an exact zero
 is canonical (numerators 0, denominator 1), the short cut is bit-identical to
-the arithmetic it skips.  A denominator of 1 needs no gcd.
+the arithmetic it skips.  A denominator of 1 needs no gcd, and neither do
+negation and `scale`: scaling by p/q first divides gcd(den, p) out of the
+denominator and p, and gcd(q, all numerators) out of q and the numerators, so
+the product is already in lowest terms.
 
 Float mode stores float64 (or complex128 where a computation is intrinsically
 complex).  Every result is checked finite by one reduction: a sum of the
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -117,6 +121,10 @@ class Operator:
             if g != 1:
                 num = num // g
                 den //= g
+        self._set_lowest(num, den)
+
+    def _set_lowest(self, num: np.ndarray, den: int) -> None:
+        """Store num/den, which the caller knows to be in lowest terms."""
         num.setflags(write=False)
         self._arr = num
         self.denominator = den
@@ -129,6 +137,12 @@ class Operator:
     def _exact(cls, num: np.ndarray, den: int) -> "Operator":
         op = object.__new__(cls)
         op._set_exact(num, den)
+        return op
+
+    @classmethod
+    def _lowest(cls, num: np.ndarray, den: int) -> "Operator":
+        op = object.__new__(cls)
+        op._set_lowest(num, den)
         return op
 
     @classmethod
@@ -291,7 +305,7 @@ class Operator:
 
     def __neg__(self) -> "Operator":
         if self.mode == EXACT:
-            return Operator._exact(-self._arr, self.denominator)
+            return Operator._lowest(-self._arr, self.denominator)
         return Operator._checked(-self._arr)
 
     def __matmul__(self, other: "Operator") -> "Operator":
@@ -321,7 +335,19 @@ class Operator:
             return self
         if not p:
             return Operator.zero(self.dim, EXACT)
-        return Operator._exact(self._arr * p, self.denominator * q)
+        # num/den is in lowest terms and so is p/q: once gcd(den, p) and
+        # gcd(q, content(num)) are divided out, the product is too
+        num, den = self._arr, self.denominator
+        g = math.gcd(den, p)
+        if g != 1:
+            den //= g
+            p //= g
+        if q != 1:
+            g = math.gcd(q, *num.flat)
+            if g != 1:
+                num = num // g
+                q //= g
+        return Operator._lowest(num if p == 1 else num * p, den * q)
 
     def __mul__(self, s: ScalarLike) -> "Operator":
         return self.scale(s)
@@ -419,16 +445,41 @@ def norm_bound(a: Operator) -> NormBound:
     return NormBound(value=_float_frobenius(a.data))
 
 
+def _sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) for ints p, q > 0, to within a rounding or two.
+
+    Where the correctly rounded p / q is a normal float this is
+    math.sqrt(p / q).  Where p / q underflows or overflows a float, the
+    quotient is scaled by 4^k into (1/4, 4) before the root and the root by
+    2^-k after, so the squared norm never has to fit in a float.  The result
+    is at least the smallest subnormal: a nonzero norm never reads as 0.0.
+    It overflows (OverflowError) only when sqrt(p / q) itself does.
+    """
+    try:
+        x = p / q
+    except OverflowError:
+        x = math.inf
+    if sys.float_info.min <= x < math.inf:
+        return math.sqrt(x)
+    k = (q.bit_length() - p.bit_length()) // 2
+    x = (p << 2 * k) / q if k >= 0 else p / (q << -2 * k)
+    return max(math.ldexp(math.sqrt(x), -k), math.ulp(0.0))
+
+
 def frobenius(a: Operator) -> float:
     """Float Frobenius norm.
 
     In exact mode this is the square root of the correctly rounded sum of
-    squares: a nearest float, which can fall below the true norm.  Where an
-    upper bound is needed, use `norm_bound(a).root_upper`.
+    squares over the squared denominator: a nearest float, which can fall
+    below the true norm.  A nonzero exact operator never has norm 0.0, and a
+    sum of squares beyond the float range does not overflow (`_sqrt_ratio`).
+    Where an upper bound is needed, use `norm_bound(a).root_upper`.
     """
     if a.mode == EXACT:
+        if a._zero:
+            return 0.0
         # correctly rounded, so equal to float() of the reduced Fraction
-        return math.sqrt(_square_sum(a) / (a.denominator * a.denominator))
+        return _sqrt_ratio(_square_sum(a), a.denominator * a.denominator)
     return _float_frobenius(a.data)
 
 

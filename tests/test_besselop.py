@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heavenlab import besselop
 from heavenlab.besselop import (
     RELATIONS,
     bessel_eval,
@@ -222,6 +225,85 @@ def test_sum_rule_nilpotent_exact():
     resid, bound = sum_rule_residual(X, Fraction(3, 2), K=4, D=12)
     assert resid == 0.0
     assert bound >= 0.0
+
+
+# -- exact sums as one rational combination of the powers of X ----------------
+
+
+def _horner(s, t):
+    acc = s.coeffs[-1]
+    for j in range(s.degree - 1, -1, -1):
+        acc = acc.scale(t) + s.coeffs[j]
+    return acc
+
+
+def _sum_rule_by_series(X, t, K, D):
+    """The sum rule as one Horner-evaluated series per index, summed."""
+    powers = [Operator.identity(X.dim, X.mode)]
+    acc = Operator.zero(X.dim, X.mode)
+    tail_sum = 0.0
+    t_abs = abs(float(t))
+    for m in range(-K, K + 1):
+        s = bessel_series(X, m, D, powers=powers)
+        acc = acc + _horner(s, t)
+        tail_sum += s.tail_fn(t_abs)
+    resid = frobenius(acc - Operator.identity(X.dim, X.mode))
+    return resid, bilateral_tail(t_abs * frobenius(X) / 2.0, K) + tail_sum
+
+
+small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+
+
+@st.composite
+def exact_operators(draw):
+    n = draw(st.integers(2, 4))
+    rows = draw(
+        st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    return Operator.from_rows(rows, EXACT)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    X=exact_operators(),
+    D=st.integers(4, 12),
+    K=st.integers(0, 8),
+    m=st.integers(-8, 8),
+    t=st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7),
+)
+def test_exact_sums_match_horner_and_per_series_routes(X, D, K, m, t):
+    s = bessel_series(X, m, D)
+    assert series_eval(s, t)[0] == _horner(s, t)
+    assert sum_rule_residual(X, t, K, D) == _sum_rule_by_series(X, t, K, D)
+
+
+def _planted_terms(wrong_sign: bool, factorial_shift: int):
+    def terms(m, D):
+        ma = abs(m)
+        sign = -1 if (m < 0 and ma % 2 == 1 and not wrong_sign) else 1
+        for deg in range(ma, D + 1, 2):
+            j = (deg - ma) // 2
+            yield deg, Fraction(
+                sign * (-1) ** j,
+                math.factorial(j + factorial_shift) * math.factorial(deg - j) * 2**deg,
+            )
+
+    return terms
+
+
+@pytest.mark.parametrize(
+    "wrong_sign, factorial_shift", [(True, 0), (False, 1)], ids=["odd-negative-sign", "factorial+1"]
+)
+def test_sum_rule_fails_with_planted_coefficient_error(monkeypatch, wrong_sign, factorial_shift):
+    X = Operator.from_rows([["1/2", "1/3"], ["-1/4", "2/3"]], EXACT)
+    ts = (Fraction(1, 2), Fraction(1), Fraction(2))
+    for t in ts:
+        resid, bound = sum_rule_residual(X, t, K=8, D=16)
+        assert resid <= bound
+    monkeypatch.setattr(besselop, "bessel_terms", _planted_terms(wrong_sign, factorial_shift))
+    for t in ts:
+        resid, bound = sum_rule_residual(X, t, K=8, D=16)
+        assert resid > bound, t
 
 
 def test_sum_rule_float_diag():

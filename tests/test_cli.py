@@ -181,6 +181,32 @@ def test_main_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", str(xfail)]) == 1
 
 
+def test_tiny_exact_residual_fails_its_zero_bound(tmp_path):
+    # [[L, M0], M0] has entries 4e-200, so its sum of squares underflows a
+    # float; the exact residual is nonzero and must not pass bound 0
+    doc = {
+        "name": "tiny-residual",
+        "degree": 8,
+        "instance": {
+            "operators": {
+                "L": [[0, "1e-200"], ["1e-200", 0]],
+                "M0": [[1, 0], [0, -1]],
+                "P0": [[1, 0], [0, -1]],
+            }
+        },
+        "suites": ["compatibility"],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
+    rep = parse_structured(out.read_text())
+    by_id = {r.check_id: r for r in rep.records}
+    assert by_id["ad-commutation"].failed()
+    assert by_id["ad-commutation"].residual > 0.0
+    assert not by_id["coupling"].failed()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -1,9 +1,11 @@
 """Exterior system: wedge algebra, closure witnesses, pullback, constraints."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from heavenlab import eds
 from heavenlab.eds import (
     DifferentialForm,
     _solve_exact,
@@ -264,6 +266,19 @@ def test_proposition1_random_sections():
     for _ in range(10):
         rep = check_proposition1(random_section(rng))
         assert rep.all_passed()
+
+
+def test_proposition1_residual_below_float_range_still_fails(monkeypatch):
+    # theta1 + 1e-400 dx^dy^dz pulls back to a residual whose l1 norm rounds
+    # to 0.0 as a float; it must still fail its bound of 0
+    thetas = base_ideal()
+    tiny = form_from_wedge(R, ("x", "y", "z"), Fraction("1e-400"))
+    monkeypatch.setattr(eds, "base_ideal", lambda: (thetas[0] + tiny,) + thetas[1:])
+    rep = check_proposition1(Section({"x^2": 1}))
+    by_id = {r.check_id: r for r in rep.records}
+    assert by_id["theta1-pullback"].failed()
+    assert by_id["theta1-pullback"].residual == math.ulp(0.0)
+    assert not any(by_id[f"theta{i}-pullback"].failed() for i in (2, 3, 4))
 
 
 def test_pullback_commutes_with_d():

@@ -25,6 +25,8 @@ from heavenlab.opcore import (
 
 from _helpers import random_float_operator, random_rational_operator
 
+EPS = float(np.finfo(np.float64).eps)
+
 
 # -- oracles first ------------------------------------------------------------
 
@@ -213,6 +215,21 @@ def test_frobenius_float_matches_numpy():
     assert abs(frobenius(a) - ref) < 1e-13
 
 
+def test_frobenius_exact_squared_norm_below_float_range():
+    # the sum of squares, 2e-340, underflows a float; the norm does not
+    a = Operator.from_rows([[0, "1e-170"], ["1e-170", 0]], EXACT)
+    assert abs(frobenius(a) / (math.sqrt(2.0) * 1e-170) - 1.0) < 4 * EPS
+    # a nonzero norm below every float still reads nonzero
+    assert frobenius(Operator.from_rows([["1e-400", 0], [0, 0]], EXACT)) == math.ulp(0.0)
+    assert frobenius(Operator.zero(3, EXACT)) == 0.0
+
+
+def test_frobenius_exact_squared_norm_above_float_range():
+    # the sum of squares, 2e320, overflows a float; the norm fits
+    a = Operator.from_rows([[0, "1e160"], ["1e160", 0]], EXACT)
+    assert abs(frobenius(a) / (math.sqrt(2.0) * 1e160) - 1.0) < 4 * EPS
+
+
 def test_operator_exp_requires_float():
     with pytest.raises(ModeMismatchError):
         operator_exp(Operator.identity(2, EXACT))
@@ -293,6 +310,13 @@ def test_exact_scale_by_zero_and_negative_ratio():
     neg = a.scale(Fraction(-14, 3))
     assert neg.entry(0, 0) == Fraction(-7, 3) and neg.entry(1, 0) == Fraction(-10, 3)
     assert neg.denominator == 3
+    # numerators [[2, 4], [6, 8]] over 3: both the content 2 and the
+    # denominator 3 share a factor with the scalar
+    b = Operator.from_rows([["2/3", "4/3"], [2, "8/3"]], EXACT)
+    for s, den in ((Fraction(3, 2), 1), (Fraction(9, 4), 2), (Fraction(-6), 1), (12, 1)):
+        ref = [[s * x for x in row] for row in b.rows()]
+        assert b.scale(s) == Operator.from_rows(ref, EXACT), s
+        assert b.scale(s).denominator == den
 
 
 # -- zero short cut, finiteness check, float norm ------------------------------
