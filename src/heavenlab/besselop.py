@@ -10,6 +10,10 @@ are truncated polynomials in t with Operator coefficients; the rational scalar
 coefficients are always computed exactly (big-integer factorials) and rounded
 once when the series lives in float mode.
 
+`bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
+tower of operators: the powers of X (`opcore.powers`) give J_m(tX), and the
+ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in `prolong`.
+
 In exact mode every sum of Bessel coefficients at a rational t is one
 rational combination of the powers of X: `series_eval` adds c_j t^j over the
 nonzero coefficients, and `sum_rule_residual` sums the scalar coefficients
@@ -35,6 +39,7 @@ from .opcore import (
     Operator,
     frobenius,
     operator_exp,
+    powers as operator_powers,
 )
 from .report import VerificationReport, make_record
 
@@ -234,39 +239,41 @@ def bilateral_tail(r: float, K: int) -> float:
             return math.inf
 
 
+def bessel_coeffs(tower: Sequence[Operator], m: int, D: int) -> list[Operator]:
+    """The t-coefficients of J_m laid over `tower`, through degree D.
+
+    coeffs[deg] = tower[deg].scale(q) for each (deg, q) of `bessel_terms`, and
+    zero at every other degree.  Over the powers of X this is J_m(tX); over
+    the ad tower of A it is J_m(t ad_L)[A].
+    """
+    coeffs = [Operator.zero(tower[0].dim, tower[0].mode)] * (D + 1)
+    for deg, q in bessel_terms(m, D):
+        coeffs[deg] = tower[deg].scale(q)
+    return coeffs
+
+
 def bessel_series(
     X: Operator,
     m: int,
     D: int,
-    powers: Optional[list[Operator]] = None,
+    powers: Optional[Sequence[Operator]] = None,
 ) -> OperatorSeries:
     """J_m(tX) truncated at t-degree D.
 
-    Negative index via J_{-k} = (-1)^k J_k.  When D < |m| every stored
-    coefficient is zero, which is still the correct truncation.
+    `powers`, when given, is [I, X, ..., X^D] or longer, as from
+    `opcore.powers`; it is read, never extended.  Negative index via
+    J_{-k} = (-1)^k J_k.  When D < |m| every stored coefficient is zero,
+    which is still the correct truncation.
     """
     if D < 0:
         raise ValueError("degree must be >= 0")
-    mode = X.mode
-    n = X.dim
-    zero = Operator.zero(n, mode)
     if powers is None:
-        powers = [Operator.identity(n, mode)]
-    while len(powers) <= D:
-        powers.append(powers[-1] @ X)
-    coeffs: list[Operator] = [zero] * (D + 1)
-    for deg, q in bessel_terms(m, D):
-        coeffs[deg] = powers[deg].scale(q)
-    return OperatorSeries(coeffs, tail_fn=_make_bessel_tail_fn(X, m, D))
-
-
-def _make_bessel_tail_fn(X: Operator, m: int, D: int) -> Callable[[float], float]:
+        powers = operator_powers(X, D)
     nx = frobenius(X)
-
-    def tail(t_abs: float) -> float:
-        return bessel_tail(t_abs * nx / 2.0, m, D)
-
-    return tail
+    return OperatorSeries(
+        bessel_coeffs(powers, m, D),
+        tail_fn=lambda t_abs: bessel_tail(t_abs * nx / 2.0, m, D),
+    )
 
 
 def bessel_eval(
@@ -341,11 +348,6 @@ _REL_EQUATIONS = {
 }
 
 
-def _series_cache(L: Operator, D: int, k_lo: int, k_hi: int) -> dict[int, OperatorSeries]:
-    powers = [Operator.identity(L.dim, L.mode)]
-    return {k: bessel_series(L, k, D, powers=powers) for k in range(k_lo, k_hi + 1)}
-
-
 def check_recurrence(
     rel: str,
     L: Operator,
@@ -372,7 +374,11 @@ def check_recurrence(
         )
     lo, hi = k_range[0], k_range[-1]
     # k -+ 1 for the recurrences, -k for negative_index
-    J = _series_cache(L, D, min(lo - 1, -hi), max(hi + 1, -lo))
+    L_powers = operator_powers(L, D)
+    J = {
+        k: bessel_series(L, k, D, powers=L_powers)
+        for k in range(min(lo - 1, -hi), max(hi + 1, -lo) + 1)
+    }
     exact = L.mode == EXACT
     # float-mode roundoff allowance; exact mode demands literal zero
     fl_bound = 0.0
@@ -434,12 +440,10 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
     t_abs = abs(float(t))
     r = t_abs * frobenius(X) / 2.0
     tail_sum = 0.0
+    powers = operator_powers(X, D)
     if X.mode == EXACT:
         if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
-        powers = [Operator.identity(X.dim, EXACT)]
-        while len(powers) <= D:
-            powers.append(powers[-1] @ X)
         s = [Fraction(-1)] + [Fraction(0)] * D
         for m_idx in range(-K, K + 1):
             for deg, q in bessel_terms(m_idx, D):
@@ -450,7 +454,6 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
             if sd:
                 resid_op = resid_op + powers[deg].scale(sd * t**deg)
         return frobenius(resid_op), bilateral_tail(r, K) + tail_sum
-    powers = [Operator.identity(X.dim, X.mode)]
     acc = Operator.zero(X.dim, X.mode)
     for m_idx in range(-K, K + 1):
         val, tb = series_eval(bessel_series(X, m_idx, D, powers=powers), t)

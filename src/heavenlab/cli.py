@@ -33,6 +33,7 @@ from .eds import (
 )
 from .opcore import EXACT, FLOAT, NonFiniteError, Operator, determinant
 from .prolong import (
+    CouplingError,
     ProlongationInstance,
     bch_check,
     catalog_instance,
@@ -111,12 +112,20 @@ def _operator(rows, what: str) -> Operator:
 
 
 def build_instance(spec: dict) -> ProlongationInstance:
+    extra = set(spec) - {"name", "catalog", "operators"}
+    if extra:
+        raise ScenarioError(f"unknown instance keys: {sorted(extra)}")
+    if "catalog" in spec and "operators" in spec:
+        raise ScenarioError("instance takes either 'catalog' or 'operators', not both")
+    name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ScenarioError(f"instance.name must be a string, got {name!r}")
     if "catalog" in spec:
-        name = spec["catalog"]
-        if not isinstance(name, str):
-            raise ScenarioError(f"instance.catalog must be a fixture name, got {name!r}")
+        fixture = spec["catalog"]
+        if not isinstance(fixture, str):
+            raise ScenarioError(f"instance.catalog must be a fixture name, got {fixture!r}")
         try:
-            return catalog_instance(name)
+            return catalog_instance(fixture)
         except KeyError as e:
             raise ScenarioError(str(e.args[0])) from e
     if "operators" not in spec:
@@ -124,6 +133,9 @@ def build_instance(spec: dict) -> ProlongationInstance:
     ops = spec["operators"]
     if not isinstance(ops, dict):
         raise ScenarioError(f"instance.operators must be an object, got {ops!r}")
+    extra = set(ops) - {"L", "M0", "P0", "N", "A", "B"}
+    if extra:
+        raise ScenarioError(f"unknown instance.operators keys: {sorted(extra)}")
     for required in ("L", "M0", "P0"):
         if required not in ops:
             raise ScenarioError(f"operators: missing {required}")
@@ -136,7 +148,6 @@ def build_instance(spec: dict) -> ProlongationInstance:
     B = _operator(ops["B"], "operators.B") if "B" in ops else Operator.identity(n, EXACT)
     if determinant(B) == 0:
         raise ScenarioError("operators.B: singular; B must be invertible")
-    name = spec.get("name", "custom")
     try:
         return ProlongationInstance(name=name, L=L, M0=M0, P0=P0, N=N, A=A, B=B)
     except ValueError as e:
@@ -376,16 +387,28 @@ INSTANCE_FREE = tuple(s for s, (needs, _) in _SUITE_TABLE.items() if not needs)
 def run_suite(
     sc: Scenario, suite: str, inst: Optional[ProlongationInstance]
 ) -> VerificationReport:
-    """One suite's report; a float overflow inside it is recorded as a failed check.
+    """One suite's report.
 
-    numpy's overflow warnings are silenced: the finiteness check on every
-    float result is what reports an overflow.
+    A suite that cannot run is recorded as one failed check in place of its
+    own: `coupling-precondition` when the instance breaks [L, P0] = [L, M0],
+    which the cal form needs, and `numeric-breakdown` when float arithmetic
+    overflows.  numpy's overflow warnings are silenced: the finiteness check
+    on every float result is what reports an overflow.
     """
     needs_instance, runner = _SUITE_TABLE[suite]
     assert inst is not None or not needs_instance
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return runner(sc, inst, random.Random(_suite_seed(sc.seed, suite)))
+    except CouplingError as e:
+        record = make_record(
+            "coupling-precondition",
+            suite,
+            "[L, P0] = [L, M0]",
+            e.residual,
+            e.bound,
+            detail=str(e),
+        )
     except (NonFiniteError, OverflowError) as e:
         record = make_record(
             "numeric-breakdown",
@@ -395,7 +418,7 @@ def run_suite(
             0.0,
             detail=f"{type(e).__name__}: {e}",
         )
-        return VerificationReport(name=suite, records=(record,))
+    return VerificationReport(name=suite, records=(record,))
 
 
 def run_scenario(sc: Scenario, only: Optional[Sequence[str]] = None) -> VerificationReport:

@@ -400,6 +400,16 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
 
 
+def powers(a: Operator, n: int) -> list[Operator]:
+    """[I, a, a^2, ..., a^n], one product each: a^{j+1} = a^j @ a."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = [Operator.identity(a.dim, a.mode)]
+    for _ in range(n):
+        out.append(out[-1] @ a)
+    return out
+
+
 @dataclass(frozen=True)
 class NormBound:
     """Frobenius norm, upper-bounded.

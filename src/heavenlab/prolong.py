@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .adjoint import (
     AdjointContext,
     ad_apply,
+    ad_tower,
     bch_conjugate,
     bch_remainder_bound,
     bch_series,
@@ -39,6 +40,7 @@ from .adjoint import (
 from .besselop import (
     EPS,
     OperatorSeries,
+    bessel_coeffs,
     bessel_eval,
     bessel_series,
     bessel_tail,
@@ -54,6 +56,7 @@ from .opcore import (
     Operator,
     commutator,
     frobenius,
+    powers,
 )
 from .report import VerificationReport, make_record
 
@@ -61,6 +64,7 @@ __all__ = [
     "ProlongationInstance",
     "HeavenlyVariable",
     "cal_bessel",
+    "CouplingError",
     "CalSolution",
     "solution_cal_form",
     "LFormSolution",
@@ -161,14 +165,6 @@ class HeavenlyVariable:
         return self.t / 2.0
 
 
-def _ad_tower(ctx: AdjointContext, A: Operator, top: int) -> list[Operator]:
-    """[A, ad_L[A], ad_L^2[A], ...] up to ad_L^top, computed incrementally."""
-    tower = [A]
-    for _ in range(top):
-        tower.append(ad_apply(ctx, tower[-1]))
-    return tower
-
-
 def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSeries:
     """J_nu(t ad_L)[A] truncated at degree D, for nu in {0, 1}.
 
@@ -179,15 +175,9 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         raise ValueError("nu must be 0 or 1")
     if D < 0:
         raise ValueError("degree must be >= 0")
-    mode = ctx.mode
-    n = ctx.dim
-    if A.dim != n or A.mode != mode:
+    if A.dim != ctx.L.dim or A.mode != ctx.L.mode:
         raise DimensionMismatchError("A incompatible with context")
-    tower = _ad_tower(ctx, A, D)
-    zero = Operator.zero(n, mode)
-    coeffs = [zero] * (D + 1)
-    for deg, q in bessel_terms(nu, D):
-        coeffs[deg] = tower[deg].scale(q)
+    coeffs = bessel_coeffs(ad_tower(ctx, A, D), nu, D)
     twoL = 2.0 * frobenius(ctx.L)
     nA = frobenius(A)
 
@@ -196,6 +186,18 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         return nA * bessel_tail(t_abs * twoL / 2.0, nu, D)
 
     return OperatorSeries(coeffs, tail_fn=tail)
+
+
+class CouplingError(ValueError):
+    """[L, P0] != [L, M0], so the cal form does not solve the system.
+
+    Carries the residual norm and the bound it exceeded.
+    """
+
+    def __init__(self, name: str, residual: float, bound: float):
+        super().__init__(f"coupling condition violated: [L, P0] != [L, M0] on {name}")
+        self.residual = residual
+        self.bound = bound
 
 
 class CalSolution(NamedTuple):
@@ -207,19 +209,21 @@ class CalSolution(NamedTuple):
 def solution_cal_form(inst: ProlongationInstance, D: int) -> CalSolution:
     """P = (t/2) J_1(t ad_L)[P0], M = J_0(t ad_L)[M0], truncated at degree D.
 
-    Requires the coupling condition [L, P0] = [L, M0]; violation raises with
-    the condition named.
+    Requires the coupling condition [L, P0] = [L, M0]: exactly in exact mode,
+    up to a roundoff allowance in float mode.  A violation raises
+    `CouplingError`.
     """
     if D < 2:
         raise ValueError("degree must be >= 2")
     resid = inst.coupling_residual()
     if not resid.is_zero():
-        if inst.mode == EXACT or frobenius(resid) > 64 * EPS * max(
-            1.0, frobenius(inst.L) * (frobenius(inst.P0) + frobenius(inst.M0))
-        ):
-            raise ValueError(
-                f"coupling condition violated: [L, P0] != [L, M0] on {inst.name}"
+        residual, bound = frobenius(resid), 0.0
+        if inst.mode == FLOAT:
+            bound = 64 * EPS * max(
+                1.0, frobenius(inst.L) * (frobenius(inst.P0) + frobenius(inst.M0))
             )
+        if inst.mode == EXACT or residual > bound:
+            raise CouplingError(inst.name, residual, bound)
     ctx = AdjointContext(inst.L)
     p_inner = cal_bessel(ctx, inst.P0, 1, D - 1)
     p = p_inner.shift(1).scale(Fraction(1, 2))
@@ -252,11 +256,9 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
     mode = inst.mode
     if mode == EXACT and not isinstance(t, (int, Fraction)):
         t = Fraction(t)
-    powers = [Operator.identity(inst.dim, mode)]
-    while len(powers) <= D:
-        powers.append(powers[-1] @ inst.L)
+    L_powers = powers(inst.L, D)
     J: dict[int, Operator] = {
-        k: bessel_eval(powers, k, t, mode) for k in range(-K - 1, K + 2)
+        k: bessel_eval(L_powers, k, t, mode) for k in range(-K - 1, K + 2)
     }
     t_abs = abs(float(t))
     r = t_abs * frobenius(inst.L) / 2.0

@@ -10,7 +10,7 @@ import pytest
 from heavenlab.adjoint import (
     AdjointContext,
     ad_apply,
-    ad_power,
+    ad_tower,
     bch_conjugate,
     bch_remainder_bound,
     bch_series,
@@ -22,6 +22,7 @@ from heavenlab.opcore import (
     Operator,
     commutator,
     frobenius,
+    powers,
 )
 
 from _helpers import random_float_operator, random_rational_operator
@@ -80,19 +81,31 @@ def test_bch_series_matches_conjugate_with_computed_bound():
 # -- ad_L power routes ---------------------------------------------------------
 
 
+def _ad_binomial(L: Operator, A: Operator, n: int) -> Operator:
+    """ad_L^n[A] = sum_k (-1)^k C(n,k) L^{n-k} A L^k, with exact binomials."""
+    acc = Operator.zero(L.dim, L.mode)
+    Lp = powers(L, n)
+    for k in range(n + 1):
+        acc = acc + (Lp[n - k] @ A @ Lp[k]).scale((-1) ** k * math.comb(n, k))
+    return acc
+
+
 def test_ad_power_iterated_equals_binomial_exact():
+    """Every entry of ad_tower, the iterated commutator, equals the binomial sum."""
     rng = random.Random(5)
-    for n in (0, 1, 2, 5, 9):
+    for top in (0, 1, 2, 5, 9):
         L = random_rational_operator(rng, 4)
         A = random_rational_operator(rng, 4)
-        ctx = AdjointContext(L)
-        assert ad_power(ctx, A, n, "iterated") == ad_power(ctx, A, n, "binomial")
+        tower = ad_tower(AdjointContext(L), A, top)
+        assert len(tower) == top + 1
+        for n, term in enumerate(tower):
+            assert term == _ad_binomial(L, A, n), (top, n)
 
 
 def test_ad_power_rejects_negative():
     ctx = AdjointContext(Operator.identity(2, EXACT))
     with pytest.raises(ValueError):
-        ad_power(ctx, Operator.identity(2, EXACT), -1)
+        ad_tower(ctx, Operator.identity(2, EXACT), -1)
 
 
 def test_ad_is_a_derivation():
@@ -107,16 +120,18 @@ def test_ad_is_a_derivation():
     assert lhs == rhs
 
 
-def test_context_powers_cached_and_correct():
+def test_powers_match_repeated_products():
     rng = random.Random(7)
     L = random_rational_operator(rng, 3)
-    ctx = AdjointContext(L)
-    p5 = ctx.power(5)
     manual = Operator.identity(3, EXACT)
-    for _ in range(5):
+    got = powers(L, 5)
+    assert len(got) == 6
+    for j in range(6):
+        assert got[j] == manual, j
         manual = manual @ L
-    assert p5 == manual
-    assert ctx.power(5) is p5  # cache hit returns the same object
+    assert powers(L, 0) == [Operator.identity(3, EXACT)]
+    with pytest.raises(ValueError):
+        powers(L, -1)
 
 
 def test_ad_power_growth_bound():
@@ -124,11 +139,10 @@ def test_ad_power_growth_bound():
     rng = random.Random(8)
     L = random_float_operator(rng, 4)
     A = random_float_operator(rng, 4)
-    ctx = AdjointContext(L)
     bound = frobenius(A)
     two_l = 2.0 * frobenius(L)
-    for n in range(9):
-        assert frobenius(ad_power(ctx, A, n)) <= bound * (1.0 + 1e-12)
+    for term in ad_tower(AdjointContext(L), A, 8):
+        assert frobenius(term) <= bound * (1.0 + 1e-12)
         bound *= two_l
 
 
@@ -152,8 +166,8 @@ def test_bch_series_coefficients_match_ad_power():
     s = bch_series(ctx, A0, t, D)
     re = Operator.zero(3, FLOAT)
     im = Operator.zero(3, FLOAT)
-    for n in range(D + 1):
-        term = ad_power(ctx, A0, n).scale(t**n / math.factorial(n))
+    for n, ad_n in enumerate(ad_tower(ctx, A0, D)):
+        term = ad_n.scale(t**n / math.factorial(n))
         if n % 4 == 0:
             re = re + term
         elif n % 4 == 1:
@@ -185,7 +199,7 @@ def test_harmonic_solution_satisfies_oscillator_fd():
     harmonic = lambda s: bch_series(ctx, A0, s, D) + bch_series(ctx, B0, -s, D)
     sm, s0, sp = harmonic(t - h), harmonic(t), harmonic(t + h)
     stt = (sp - s0.scale(2.0) + sm).scale(1.0 / (h * h))
-    resid = stt + ad_power(ctx, s0, 2)
+    resid = stt + ad_tower(ctx, s0, 2)[2]
     scale = max(1.0, (2 * frobenius(L)) ** 4 * (frobenius(A0) + frobenius(B0)))
     assert frobenius(resid) < 10.0 * h * h * scale
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from heavenlab import besselop
 from heavenlab.besselop import (
     RELATIONS,
+    bessel_coeffs,
     bessel_eval,
     bessel_series,
     bessel_tail,
@@ -22,7 +23,7 @@ from heavenlab.besselop import (
     series_eval,
     sum_rule_residual,
 )
-from heavenlab.opcore import EXACT, FLOAT, Operator, frobenius
+from heavenlab.opcore import EXACT, FLOAT, Operator, frobenius, powers
 
 from _helpers import random_float_operator, random_rational_operator
 
@@ -239,12 +240,12 @@ def _horner(s, t):
 
 def _sum_rule_by_series(X, t, K, D):
     """The sum rule as one Horner-evaluated series per index, summed."""
-    powers = [Operator.identity(X.dim, X.mode)]
+    X_powers = powers(X, D)
     acc = Operator.zero(X.dim, X.mode)
     tail_sum = 0.0
     t_abs = abs(float(t))
     for m in range(-K, K + 1):
-        s = bessel_series(X, m, D, powers=powers)
+        s = bessel_series(X, m, D, powers=X_powers)
         acc = acc + _horner(s, t)
         tail_sum += s.tail_fn(t_abs)
     resid = frobenius(acc - Operator.identity(X.dim, X.mode))
@@ -351,13 +352,24 @@ def test_bessel_eval_direct_vs_series_route():
     rng = random.Random(308)
     X = random_rational_operator(rng, 3)
     D = 14
-    powers = [Operator.identity(3, EXACT)]
-    while len(powers) <= D:
-        powers.append(powers[-1] @ X)
+    X_powers = powers(X, D)
     for m in (-3, -1, 0, 2, 4):
-        direct = bessel_eval(powers, m, Fraction(2, 5), EXACT)
+        direct = bessel_eval(X_powers, m, Fraction(2, 5), EXACT)
         via, _ = series_eval(bessel_series(X, m, D), Fraction(2, 5))
         assert direct == via, m
+
+
+def test_bessel_coeffs_over_any_tower():
+    """Coefficients are the tower's entries scaled by bessel_terms, zero elsewhere."""
+    rng = random.Random(310)
+    tower = [random_rational_operator(rng, 2) for _ in range(9)]
+    for m in (-3, 0, 1, 2):
+        coeffs = bessel_coeffs(tower, m, 8)
+        terms = dict(bessel_terms(m, 8))
+        assert len(coeffs) == 9
+        for deg, c in enumerate(coeffs):
+            want = tower[deg].scale(terms[deg]) if deg in terms else Operator.zero(2, EXACT)
+            assert c == want, (m, deg)
 
 
 # -- tail majorants ------------------------------------------------------------------

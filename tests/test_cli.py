@@ -387,6 +387,58 @@ def test_main_rejects_singular_B(tmp_path, capsys):
     assert "operators.B: singular" in capsys.readouterr().err
 
 
+# [L, P0] = -e12 but [L, M0] = e11 - e22: the cal form does not apply
+COUPLING_BROKEN = {
+    "name": "coupling",
+    "instance": {"operators": {
+        "L": [[0, 1], [0, 0]], "M0": [[0, 0], [1, 0]], "P0": [[1, 0], [0, 0]],
+    }},
+}
+CAL_FORM_SUITES = (
+    "ode-residuals", "solution-equivalence", "prolongation", "initial-conditions",
+    "eds-constraints",
+)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_main_records_coupling_precondition_failure(tmp_path, capsys, mode):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**COUPLING_BROKEN, "mode": mode}))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    by_suite = {}
+    for check in json.loads(out.read_text())["checks"]:
+        by_suite.setdefault(check["suite"], []).append(check)
+    for suite in CAL_FORM_SUITES:
+        (check,) = by_suite[suite]
+        assert check["check_id"] == "coupling-precondition"
+        assert check["verdict"] == "fail" and check["residual"] > check["bound"]
+    compat = {c["check_id"]: c["verdict"] for c in by_suite["compatibility"]}
+    assert compat == {"coupling": "fail", "ad-commutation": "fail"}
+    assert all(c["verdict"] == "pass" for c in by_suite["bessel-recurrences"] + by_suite["bch"])
+
+
+@pytest.mark.parametrize(
+    "instance, named",
+    [
+        ({"catalog": "diag2", "seed": 1}, "'seed'"),
+        ({"operators": {"L": [[0, 1], [0, 0]], "M0": [[1, 0], [0, 1]],
+                        "P0": [[1, 0], [0, 1]], "b": [[2, 0], [0, 2]]}}, "'b'"),
+        ({"catalog": "diag2", "operators": {"L": [[1]], "M0": [[1]], "P0": [[1]]}},
+         "'catalog' or 'operators'"),
+        ({"name": 5, "catalog": "diag2"}, "instance.name"),
+        ({"name": None, "operators": {"L": [[1]], "M0": [[1]], "P0": [[1]]}}, "instance.name"),
+    ],
+    ids=["instance-key", "operators-key", "catalog-and-operators", "name-number", "name-null"],
+)
+def test_main_rejects_bad_instance_keys(tmp_path, capsys, instance, named):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "x", "instance": instance, "suites": ["compatibility"]}))
+    assert main(["verify", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 # small valid scenarios (exit 0), one per way of giving the instance
 SMALL = {
     "name": "small",
