@@ -11,21 +11,28 @@ coefficients are always computed exactly (big-integer factorials) and rounded
 once when the series lives in float mode.
 
 `bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
-tower of operators: the powers of X (`opcore.powers`) give J_m(tX), and the
-ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in `prolong`.
+tower of operators into a series: the powers of X (`opcore.powers`) give
+J_m(tX), and the ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in
+`prolong`.
+
+An exact `OperatorSeries` is a tuple of canonical Operators.  A float series
+is one (D+1, n, n) array, so a series operation is one numpy expression and
+one finiteness check, not one Operator and one check per degree; each entry
+still gets the bits the per-coefficient Operator arithmetic gives.
 
 In exact mode every sum of Bessel coefficients at a rational t is one
 rational combination of the powers of X: `series_eval` adds c_j t^j over the
 nonzero coefficients, and `sum_rule_residual` sums the scalar coefficients
 over m before it scales each power of X once.  Exact results are canonical,
 so these routes give the same bits as Horner's rule.  Float mode keeps
-Horner and the sum of one series per index, because the roundoff of those
-routes is what the float bounds cover.
+Horner, on the coefficient array, and the sum of one series per index,
+because the roundoff of those routes is what the float bounds cover.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -37,6 +44,7 @@ from .opcore import (
     DimensionMismatchError,
     ModeMismatchError,
     Operator,
+    _check_finite,
     frobenius,
     operator_exp,
     powers as operator_powers,
@@ -62,9 +70,16 @@ class OperatorSeries:
     the stored degree; shift(k) multiplies by t^k by index shifting (never by
     division).  tail_fn, when present, maps |t| to a bound on the dropped
     infinite tail.
+
+    The storage follows the mode.  An exact series is a tuple of canonical
+    Operators.  A float series is one read-only (D+1, n, n) array: each
+    operation is one numpy expression over every degree, then one finiteness
+    check on its result, and gives every entry the bits that the Operator
+    arithmetic on that coefficient gives.  Its `coeffs` are read-only
+    Operator views of the array, built on first use.
     """
 
-    __slots__ = ("coeffs", "tail_fn")
+    __slots__ = ("_arr", "_coeffs", "dim", "mode", "tail_fn")
 
     def __init__(
         self,
@@ -80,20 +95,40 @@ class OperatorSeries:
                 raise DimensionMismatchError("series coefficients must share dimension")
             if c.mode != mode:
                 raise ModeMismatchError("series coefficients must share mode")
-        self.coeffs = coeffs
+        self._arr = None
+        if mode == FLOAT:
+            self._arr = np.stack([c._arr for c in coeffs])
+            self._arr.setflags(write=False)
+        self._coeffs = coeffs
+        self.dim = dim
+        self.mode = mode
         self.tail_fn = tail_fn
+
+    @classmethod
+    def _frozen(cls, arr: np.ndarray) -> "OperatorSeries":
+        """A float series over the (D+1, n, n) array the caller hands over."""
+        if not len(arr):
+            raise ValueError("series needs at least the constant coefficient")
+        arr.setflags(write=False)
+        s = object.__new__(cls)
+        s._arr, s._coeffs, s.dim, s.mode, s.tail_fn = arr, None, arr.shape[1], FLOAT, None
+        return s
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "OperatorSeries":
+        """A float series over `arr`: refused if any entry is inf or nan."""
+        _check_finite(arr)
+        return cls._frozen(arr)
+
+    @property
+    def coeffs(self) -> tuple[Operator, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Operator._float(c) for c in self._arr)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs[0].dim
-
-    @property
-    def mode(self) -> str:
-        return self.coeffs[0].mode
+        return len(self._coeffs if self._arr is None else self._arr) - 1
 
     def coefficient(self, j: int) -> Operator:
         if j < 0:
@@ -102,20 +137,40 @@ class OperatorSeries:
             return self.coeffs[j]
         return Operator.zero(self.dim, self.mode)
 
+    def _require_compatible(self, other) -> None:
+        """`other` (a series or an Operator) has this series' mode and dimension."""
+        if self.mode != other.mode:
+            raise ModeMismatchError(f"mode mismatch: {self.mode} vs {other.mode}")
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def _zip(self, other: "OperatorSeries", f) -> "OperatorSeries":
+        """f of the coefficients of both series, through the lower degree."""
+        self._require_compatible(other)
+        if self._arr is None:
+            return OperatorSeries(map(f, self.coeffs, other.coeffs))
+        d = min(self.degree, other.degree) + 1
+        return OperatorSeries._checked(f(self._arr[:d], other._arr[:d]))
+
     def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
-        d = min(self.degree, other.degree)
-        return OperatorSeries([self.coeffs[j] + other.coeffs[j] for j in range(d + 1)])
+        return self._zip(other, operator.add)
 
     def __sub__(self, other: "OperatorSeries") -> "OperatorSeries":
-        d = min(self.degree, other.degree)
-        return OperatorSeries([self.coeffs[j] - other.coeffs[j] for j in range(d + 1)])
+        return self._zip(other, operator.sub)
 
     def scale(self, s) -> "OperatorSeries":
-        return OperatorSeries([c.scale(s) for c in self.coeffs])
+        if self._arr is None:
+            return OperatorSeries([c.scale(s) for c in self.coeffs])
+        # as in Operator.scale, a Fraction is rounded to a float once
+        return OperatorSeries._checked(self._arr * (float(s) if isinstance(s, Fraction) else s))
 
     def lmul(self, op: Operator) -> "OperatorSeries":
         """op * series, coefficient-wise."""
-        return OperatorSeries([op @ c for c in self.coeffs])
+        self._require_compatible(op)
+        if self._arr is None:
+            return OperatorSeries([op @ c for c in self.coeffs])
+        # one np.dot per degree, the product Operator.__matmul__ forms
+        return OperatorSeries._checked(np.stack([np.dot(op._arr, c) for c in self._arr]))
 
     def map_coeffs(self, f: Callable[[Operator], Operator]) -> "OperatorSeries":
         return OperatorSeries([f(c) for c in self.coeffs])
@@ -124,24 +179,40 @@ class OperatorSeries:
         """Multiply by t^k (k >= 0), extending the stored degree by k."""
         if k < 0:
             raise ValueError("shift must be >= 0; divide-by-t is never performed")
-        z = Operator.zero(self.dim, self.mode)
-        return OperatorSeries([z] * k + list(self.coeffs))
+        if self._arr is None:
+            z = Operator.zero(self.dim, self.mode)
+            return OperatorSeries([z] * k + list(self.coeffs))
+        arr = self._arr
+        return OperatorSeries._frozen(
+            np.concatenate((np.zeros((k,) + arr.shape[1:], arr.dtype), arr))
+        )
 
     def truncate(self, degree: int) -> "OperatorSeries":
         if degree >= self.degree:
             return self
-        return OperatorSeries(self.coeffs[: degree + 1])
+        if self._arr is None:
+            return OperatorSeries(self.coeffs[: degree + 1])
+        return OperatorSeries._frozen(self._arr[: degree + 1])
 
     def derivative(self) -> "OperatorSeries":
         if self.degree == 0:
             return OperatorSeries([Operator.zero(self.dim, self.mode)])
-        return OperatorSeries(
-            [self.coeffs[j].scale(j) for j in range(1, self.degree + 1)]
-        )
+        if self._arr is None:
+            return OperatorSeries(
+                [self.coeffs[j].scale(j) for j in range(1, self.degree + 1)]
+            )
+        j = np.arange(1, self.degree + 1, dtype=np.float64)
+        return OperatorSeries._checked(self._arr[1:] * j[:, None, None])
 
     def max_coeff_norm(self, through: Optional[int] = None) -> float:
         hi = self.degree if through is None else min(through, self.degree)
-        return max(frobenius(self.coeffs[j]) for j in range(hi + 1))
+        if self._arr is None:
+            return max(frobenius(c) for c in self.coeffs[: hi + 1])
+        x = self._arr[: hi + 1]
+        sq = x * x if x.dtype == np.float64 else abs(x) ** 2
+        # each coefficient's squares summed in the order `frobenius` sums them;
+        # the root is monotone, so the root of the largest sum is the largest norm
+        return math.sqrt(np.add.reduce(sq.reshape(hi + 1, -1), axis=1).max())
 
 
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
@@ -150,8 +221,10 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     Exact mode sums c_j t^j over the nonzero coefficients only.  Exact
     arithmetic makes this equal to Horner's rule, and an exact Operator is
     canonical, so the result is bit-identical; but it never rescales a dense
-    accumulator once per degree.  Float mode keeps Horner: its rounding is
-    what the float checks bound.
+    accumulator once per degree.  Float mode keeps Horner, on the raw
+    coefficient array: its rounding is what the float checks bound.  An inf
+    or nan stays non-finite under * and +, so one finiteness check of the
+    result catches an overflow at any step.
     """
     if s.mode == EXACT:
         if not isinstance(t, (int, Fraction)):
@@ -162,9 +235,13 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
             if not c.is_zero():
                 acc = acc + c.scale(t**j)
     else:
-        acc = s.coeffs[-1]
+        if isinstance(t, Fraction):
+            t = float(t)
+        arr = s._arr
+        acc = arr[-1]
         for j in range(s.degree - 1, -1, -1):
-            acc = acc.scale(t) + s.coeffs[j]
+            acc = acc * t + arr[j]
+        acc = Operator._checked(acc)
     t_abs = abs(float(t))
     tail = TailBound(s.tail_fn(t_abs) if s.tail_fn is not None else 0.0)
     return acc, tail
@@ -239,17 +316,24 @@ def bilateral_tail(r: float, K: int) -> float:
             return math.inf
 
 
-def bessel_coeffs(tower: Sequence[Operator], m: int, D: int) -> list[Operator]:
-    """The t-coefficients of J_m laid over `tower`, through degree D.
+def bessel_coeffs(tower: Sequence[Operator], m: int, D: int) -> OperatorSeries:
+    """J_m laid over `tower`, through degree D, as a series without a tail.
 
-    coeffs[deg] = tower[deg].scale(q) for each (deg, q) of `bessel_terms`, and
-    zero at every other degree.  Over the powers of X this is J_m(tX); over
-    the ad tower of A it is J_m(t ad_L)[A].
+    Coefficient deg is tower[deg].scale(q) for each (deg, q) of
+    `bessel_terms`, and zero at every other degree.  Over the powers of X
+    this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].
     """
-    coeffs = [Operator.zero(tower[0].dim, tower[0].mode)] * (D + 1)
+    first = tower[0]
+    if first.mode == EXACT:
+        coeffs = [Operator.zero(first.dim, EXACT)] * (D + 1)
+        for deg, q in bessel_terms(m, D):
+            coeffs[deg] = tower[deg].scale(q)
+        return OperatorSeries(coeffs)
+    dtype = np.result_type(*{c._arr.dtype for c in tower[: D + 1]})
+    arr = np.zeros((D + 1, first.dim, first.dim), dtype)
     for deg, q in bessel_terms(m, D):
-        coeffs[deg] = tower[deg].scale(q)
-    return coeffs
+        arr[deg] = tower[deg]._arr * float(q)
+    return OperatorSeries._checked(arr)
 
 
 def bessel_series(
@@ -270,10 +354,9 @@ def bessel_series(
     if powers is None:
         powers = operator_powers(X, D)
     nx = frobenius(X)
-    return OperatorSeries(
-        bessel_coeffs(powers, m, D),
-        tail_fn=lambda t_abs: bessel_tail(t_abs * nx / 2.0, m, D),
-    )
+    s = bessel_coeffs(powers, m, D)
+    s.tail_fn = lambda t_abs: bessel_tail(t_abs * nx / 2.0, m, D)
+    return s
 
 
 def bessel_eval(

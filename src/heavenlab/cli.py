@@ -125,9 +125,11 @@ def build_instance(spec: dict) -> ProlongationInstance:
         if not isinstance(fixture, str):
             raise ScenarioError(f"instance.catalog must be a fixture name, got {fixture!r}")
         try:
-            return catalog_instance(fixture)
+            inst = catalog_instance(fixture)
         except KeyError as e:
             raise ScenarioError(str(e.args[0])) from e
+        # only a name given in the scenario renames the fixture
+        return dataclasses.replace(inst, name=name) if "name" in spec else inst
     if "operators" not in spec:
         raise ScenarioError("instance needs either 'catalog' or 'operators'")
     ops = spec["operators"]

@@ -177,7 +177,7 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         raise ValueError("degree must be >= 0")
     if A.dim != ctx.L.dim or A.mode != ctx.L.mode:
         raise DimensionMismatchError("A incompatible with context")
-    coeffs = bessel_coeffs(ad_tower(ctx, A, D), nu, D)
+    series = bessel_coeffs(ad_tower(ctx, A, D), nu, D)
     twoL = 2.0 * frobenius(ctx.L)
     nA = frobenius(A)
 
@@ -185,7 +185,8 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         # ||ad_L^j[A]|| <= (2||L||)^j ||A||, so the argument scales as t ||L||
         return nA * bessel_tail(t_abs * twoL / 2.0, nu, D)
 
-    return OperatorSeries(coeffs, tail_fn=tail)
+    series.tail_fn = tail
+    return series
 
 
 class CouplingError(ValueError):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from heavenlab import besselop
 from heavenlab.besselop import (
     RELATIONS,
+    OperatorSeries,
     bessel_coeffs,
     bessel_eval,
     bessel_series,
@@ -23,7 +25,16 @@ from heavenlab.besselop import (
     series_eval,
     sum_rule_residual,
 )
-from heavenlab.opcore import EXACT, FLOAT, Operator, frobenius, powers
+from heavenlab.opcore import (
+    EXACT,
+    FLOAT,
+    DimensionMismatchError,
+    ModeMismatchError,
+    NonFiniteError,
+    Operator,
+    frobenius,
+    powers,
+)
 
 from _helpers import random_float_operator, random_rational_operator
 
@@ -231,10 +242,11 @@ def test_sum_rule_nilpotent_exact():
 # -- exact sums as one rational combination of the powers of X ----------------
 
 
-def _horner(s, t):
-    acc = s.coeffs[-1]
-    for j in range(s.degree - 1, -1, -1):
-        acc = acc.scale(t) + s.coeffs[j]
+def _horner(coeffs, t):
+    """Horner's rule on a list of Operators."""
+    acc = coeffs[-1]
+    for j in range(len(coeffs) - 2, -1, -1):
+        acc = acc.scale(t) + coeffs[j]
     return acc
 
 
@@ -246,7 +258,7 @@ def _sum_rule_by_series(X, t, K, D):
     t_abs = abs(float(t))
     for m in range(-K, K + 1):
         s = bessel_series(X, m, D, powers=X_powers)
-        acc = acc + _horner(s, t)
+        acc = acc + _horner(s.coeffs, t)
         tail_sum += s.tail_fn(t_abs)
     resid = frobenius(acc - Operator.identity(X.dim, X.mode))
     return resid, bilateral_tail(t_abs * frobenius(X) / 2.0, K) + tail_sum
@@ -274,8 +286,75 @@ def exact_operators(draw):
 )
 def test_exact_sums_match_horner_and_per_series_routes(X, D, K, m, t):
     s = bessel_series(X, m, D)
-    assert series_eval(s, t)[0] == _horner(s, t)
+    assert series_eval(s, t)[0] == _horner(s.coeffs, t)
     assert sum_rule_residual(X, t, K, D) == _sum_rule_by_series(X, t, K, D)
+
+
+def _float_coeffs(rng, n, D):
+    """D+1 fresh float Operators with entries over 80 binades, and signed zeros."""
+    raw = rng.standard_normal((D + 1, n, n)) * 2.0 ** rng.integers(-40, 41, (D + 1, n, n))
+    raw[rng.random(raw.shape) < 0.15] = 0.0
+    raw[rng.random(raw.shape) < 0.15] = -0.0
+    return [Operator(c.copy(), FLOAT) for c in raw]
+
+
+def _same_bits(series, ops):
+    assert series.mode == FLOAT and series.degree == len(ops) - 1
+    for got, want in zip(series.coeffs, ops):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    Da=st.integers(0, 40),
+    Db=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 3),
+    through=st.integers(0, 44),
+    t=st.floats(-4, 4),
+    tq=st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    scalar=st.sampled_from([-3, 0, 2.5, -0.0, Fraction(3, 7)]),
+)
+def test_float_series_arithmetic_matches_per_coefficient_operators(
+    n, Da, Db, seed, k, through, t, tq, scalar
+):
+    """Each float series operation gives the bits of Operator arithmetic per coefficient."""
+    rng = np.random.default_rng(seed)
+    ca, cb = _float_coeffs(rng, n, Da), _float_coeffs(rng, n, Db)
+    (op,) = _float_coeffs(rng, n, 0)
+    a, b = OperatorSeries(ca), OperatorSeries(cb)
+    _same_bits(a + b, [x + y for x, y in zip(ca, cb)])
+    _same_bits(a - b, [x - y for x, y in zip(ca, cb)])
+    _same_bits(a.scale(scalar), [c.scale(scalar) for c in ca])
+    _same_bits(a.lmul(op), [op @ c for c in ca])
+    _same_bits(a.shift(k), [Operator.zero(n, FLOAT)] * k + ca)
+    _same_bits(a.truncate(Db), ca[: Db + 1])
+    derivative = [c.scale(j) for j, c in enumerate(ca)][1:] or [Operator.zero(n, FLOAT)]
+    _same_bits(a.derivative(), derivative)
+    assert a.max_coeff_norm(through) == max(frobenius(c) for c in ca[: through + 1])
+    assert a.max_coeff_norm() == max(frobenius(c) for c in ca)
+    for tv in (t, tq):
+        assert series_eval(a, tv)[0].data.tobytes() == _horner(ca, tv).data.tobytes()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = OperatorSeries([Operator.diag([1e308] * n, FLOAT)] * 2)
+        for overflow in (
+            lambda: big + big,
+            lambda: big.scale(1e10),
+            lambda: big.lmul(Operator.diag([1e10] * n, FLOAT)),
+            lambda: series_eval(big, 1e300),
+        ):
+            with pytest.raises(NonFiniteError):
+                overflow()
+    exact = bessel_series(Operator.identity(n, EXACT), 0, Da)
+    for mixed in (lambda: a + exact, lambda: exact - a, lambda: a.lmul(exact.coefficient(0))):
+        with pytest.raises(ModeMismatchError):
+            mixed()
+    wider = OperatorSeries(_float_coeffs(rng, n + 1, Db))
+    for mixed in (lambda: a + wider, lambda: wider - a, lambda: a.lmul(wider.coefficient(0))):
+        with pytest.raises(DimensionMismatchError):
+            mixed()
 
 
 def _planted_terms(wrong_sign: bool, factorial_shift: int):
@@ -362,14 +441,15 @@ def test_bessel_eval_direct_vs_series_route():
 def test_bessel_coeffs_over_any_tower():
     """Coefficients are the tower's entries scaled by bessel_terms, zero elsewhere."""
     rng = random.Random(310)
-    tower = [random_rational_operator(rng, 2) for _ in range(9)]
-    for m in (-3, 0, 1, 2):
-        coeffs = bessel_coeffs(tower, m, 8)
-        terms = dict(bessel_terms(m, 8))
-        assert len(coeffs) == 9
-        for deg, c in enumerate(coeffs):
-            want = tower[deg].scale(terms[deg]) if deg in terms else Operator.zero(2, EXACT)
-            assert c == want, (m, deg)
+    for mode, make in ((EXACT, random_rational_operator), (FLOAT, random_float_operator)):
+        tower = [make(rng, 2) for _ in range(9)]
+        for m in (-3, 0, 1, 2):
+            series = bessel_coeffs(tower, m, 8)
+            terms = dict(bessel_terms(m, 8))
+            assert series.degree == 8 and series.mode == mode and series.tail_fn is None
+            for deg, c in enumerate(series.coeffs):
+                want = tower[deg].scale(terms[deg]) if deg in terms else Operator.zero(2, mode)
+                assert c == want, (mode, m, deg)
 
 
 # -- tail majorants ------------------------------------------------------------------

@@ -359,11 +359,19 @@ def test_main_degree_below_k_range_ok_without_recurrences(tmp_path):
 
 # numpy's overflow RuntimeWarning would be noise beside the recorded failure
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("suite", ["prolongation", "eds-constraints"])
-def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite):
+@pytest.mark.parametrize("suite, doc", [
+    pytest.param("prolongation", {"u_samples": [800]}, id="prolongation"),
+    pytest.param("eds-constraints", {"u_samples": [800]}, id="eds-constraints"),
+    # float Horner overflows at t = 1e200 and is checked once, at its end
+    pytest.param("bessel-recurrences", {"mode": "float", "t_samples": ["1e200"]},
+                 id="float-bessel-recurrences"),
+    pytest.param("solution-equivalence", {"mode": "float", "t_samples": ["1e200"]},
+                 id="float-solution-equivalence"),
+])
+def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite, doc):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({
-        "name": "x", "instance": {"catalog": "diag2"}, "u_samples": [800], "suites": [suite],
+        "name": "x", "instance": {"catalog": "diag2"}, "suites": [suite], **doc,
     }))
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
@@ -437,6 +445,20 @@ def test_main_rejects_bad_instance_keys(tmp_path, capsys, instance, named):
     path.write_text(json.dumps({"name": "x", "instance": instance, "suites": ["compatibility"]}))
     assert main(["verify", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance, named",
+    [({"catalog": "diag2", "name": "mine"}, "mine"), ({"catalog": "diag2"}, "diag2")],
+    ids=["given-name", "fixture-name"],
+)
+def test_main_names_catalog_instance(tmp_path, instance, named):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"name": "x", "instance": instance, "suites": ["compatibility"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(c["detail"] == named for c in checks)
 
 
 # small valid scenarios (exit 0), one per way of giving the instance
