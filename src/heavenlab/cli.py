@@ -83,12 +83,15 @@ def _fraction(value, what: str) -> Fraction:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; an integral float such as 16.0 also counts, a bool does not."""
+def _integer(value, what: str, least: Optional[int] = None) -> int:
+    """A JSON integer, at least `least` when given; an integral float such as
+    16.0 also counts, a bool does not."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ScenarioError(f"{what} must be >= {least}")
     return value
 
 
@@ -109,6 +112,9 @@ def _operator(rows, what: str) -> Operator:
         )
     except ValueError as e:
         raise ScenarioError(f"{what}: {e}") from e
+
+
+_OPERATORS = ("L", "M0", "P0", "N", "A", "B")
 
 
 def build_instance(spec: dict) -> ProlongationInstance:
@@ -135,7 +141,7 @@ def build_instance(spec: dict) -> ProlongationInstance:
     ops = spec["operators"]
     if not isinstance(ops, dict):
         raise ScenarioError(f"instance.operators must be an object, got {ops!r}")
-    extra = set(ops) - {"L", "M0", "P0", "N", "A", "B"}
+    extra = set(ops) - set(_OPERATORS)
     if extra:
         raise ScenarioError(f"unknown instance.operators keys: {sorted(extra)}")
     for required in ("L", "M0", "P0"):
@@ -156,17 +162,49 @@ def build_instance(spec: dict) -> ProlongationInstance:
         raise ScenarioError(f"instance: {e}") from e
 
 
-def parse_scenario(text: str) -> Scenario:
+def _scalar_args(scalar: Optional[dict], t_samples: tuple) -> tuple:
+    """(omega, p0, m0, t_samples) of the scalar-reduction suite; its own
+    t_samples, when given, replace the scenario's."""
+    scalar = {} if scalar is None else scalar
+    if not isinstance(scalar, dict):
+        raise ScenarioError("scalar must be an object")
+    bad = set(scalar) - {"omega", "p0", "m0", "t_samples"}
+    if bad:
+        raise ScenarioError(f"unknown scalar keys: {sorted(bad)}")
+    own = _list(scalar, "t_samples", [], "scalar.t_samples")
+    return (
+        *(_fraction(scalar.get(k, 1), f"scalar.{k}") for k in ("omega", "p0", "m0")),
+        tuple(_fraction(v, "scalar.t_samples") for v in own) or t_samples,
+    )
+
+
+def _section(i: int, spec) -> Section:
+    if not isinstance(spec, dict):
+        raise ScenarioError("sections must be polynomial objects")
+    try:
+        return Section(spec)
+    except (ValueError, KeyError) as e:
+        raise ScenarioError(f"sections[{i}]: {e}") from e
+
+
+def parse_scenario(
+    text: str, suites: Optional[Sequence[str]] = None, seed: Optional[int] = None
+) -> Scenario:
+    """The checked scenario; `suites` and `seed`, when given, replace the
+    file's, as `--suite` and `--seed` do.
+
+    Every input rule is checked here, whether or not its suite is selected,
+    so that run_scenario only computes.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ScenarioError(f"invalid JSON: {e}")
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-    known = {
-        "name", "instance", "mode", "degree", "cutoff", "t_samples", "u_samples",
-        "k_range", "seed", "suites", "scalar", "sections", "closure_cap",
-    }
+    known = ({f.name for f in dataclasses.fields(Scenario)} - {"instance_spec"}) | {"instance"}
     extra = set(doc) - known
     if extra:
         raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
@@ -175,26 +213,22 @@ def parse_scenario(text: str) -> Scenario:
     mode = doc.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise ScenarioError(f"mode must be 'exact' or 'float', got {mode!r}")
-    degree = _integer(doc.get("degree", 16), "degree")
-    if degree < 4:
-        raise ScenarioError("degree must be >= 4")
-    cutoff = _integer(doc.get("cutoff", 8), "cutoff")
-    if cutoff < 1:
-        raise ScenarioError("cutoff must be >= 1")
-    closure_cap = _integer(doc.get("closure_cap", 3), "closure_cap")
-    if closure_cap < 1:
-        raise ScenarioError("closure_cap must be >= 1")
+    degree = _integer(doc.get("degree", 16), "degree", 4)
+    cutoff = _integer(doc.get("cutoff", 8), "cutoff", 1)
+    closure_cap = _integer(doc.get("closure_cap", 3), "closure_cap", 1)
     t_samples = tuple(
         _fraction(v, "t_samples")
         for v in _list(doc, "t_samples", ["1/2", "1", "2"], "t_samples")
     )
     if not t_samples or any(t <= 0 for t in t_samples):
         raise ScenarioError("t_samples must be a nonempty list of positive numbers")
-    u_raw = doc.get("u_samples", [-2, -1, 0])
-    if not isinstance(u_raw, list) or not u_raw or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in u_raw
+    u_raw = _list(doc, "u_samples", [-2, -1, 0], "u_samples")
+    # abs(v) <= max is false for nan, inf and an int no float can hold
+    if not u_raw or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+        for v in u_raw
     ):
-        raise ScenarioError(f"u_samples must be a nonempty list of numbers, got {u_raw!r}")
+        raise ScenarioError(f"u_samples must be a nonempty list of finite numbers, got {u_raw!r}")
     u_samples = tuple(float(v) for v in u_raw)
     k_raw = doc.get("k_range", [-4, 4])
     if not isinstance(k_raw, list) or len(k_raw) != 2:
@@ -202,36 +236,35 @@ def parse_scenario(text: str) -> Scenario:
     k_range = (_integer(k_raw[0], "k_range"), _integer(k_raw[1], "k_range"))
     if k_range[0] > k_range[1]:
         raise ScenarioError("k_range must be [lo, hi] with integer lo <= hi")
-    seed = _integer(doc.get("seed", 2026), "seed")
+    doc_seed = _integer(doc.get("seed", 2026), "seed")
     instance_spec = doc.get("instance")
     if instance_spec is not None:
         if not isinstance(instance_spec, dict):
             raise ScenarioError("instance must be an object")
         build_instance(instance_spec)  # validate eagerly
     suites_raw = doc.get("suites")
-    if suites_raw is None:
-        suites = SUITES if instance_spec is not None else INSTANCE_FREE
-    else:
-        if not isinstance(suites_raw, list) or not suites_raw:
-            raise ScenarioError("suites must be a nonempty list")
-        bad = [s for s in suites_raw if s not in SUITES]
-        if bad:
-            raise ScenarioError(f"unknown suites: {bad}; available: {list(SUITES)}")
-        suites = tuple(dict.fromkeys(suites_raw))
+    if suites_raw is not None and (not isinstance(suites_raw, list) or not suites_raw):
+        raise ScenarioError("suites must be a nonempty list")
+    bad = [s for s in [*(suites_raw or ()), *(suites or ())] if s not in SUITES]
+    if bad:
+        raise ScenarioError(f"unknown suites: {bad}; available: {list(SUITES)}")
+    default = SUITES if instance_spec is not None else INSTANCE_FREE
+    suites = tuple(dict.fromkeys(suites or suites_raw or default))
     needs_instance = [s for s in suites if s not in INSTANCE_FREE]
     if needs_instance and instance_spec is None:
         raise ScenarioError(f"suites {needs_instance} need an 'instance'")
+    need = max(abs(k) for k in k_range) + 2
+    if "bessel-recurrences" in suites and degree < need:
+        raise ScenarioError(
+            f"degree {degree} is too low for k_range {list(k_range)}: "
+            f"bessel-recurrences needs degree >= max|k| + 2 = {need}"
+        )
     scalar = doc.get("scalar")
     if scalar is not None:
-        if not isinstance(scalar, dict):
-            raise ScenarioError("scalar must be an object")
-        bad = set(scalar) - {"omega", "p0", "m0", "t_samples"}
-        if bad:
-            raise ScenarioError(f"unknown scalar keys: {sorted(bad)}")
-        _list(scalar, "t_samples", [], "scalar.t_samples")
+        _scalar_args(scalar, t_samples)
     sections = _list(doc, "sections", [], "sections")
-    if not all(isinstance(s, dict) for s in sections):
-        raise ScenarioError("sections must be polynomial objects")
+    for i, spec in enumerate(sections):
+        _section(i, spec)
     return Scenario(
         name=doc["name"],
         instance_spec=instance_spec,
@@ -241,7 +274,7 @@ def parse_scenario(text: str) -> Scenario:
         t_samples=t_samples,
         u_samples=u_samples,
         k_range=k_range,
-        seed=seed,
+        seed=doc_seed if seed is None else seed,
         suites=suites,
         scalar=scalar,
         sections=tuple(sections),
@@ -251,21 +284,10 @@ def parse_scenario(text: str) -> Scenario:
 
 def scenario_digest(sc: Scenario) -> dict:
     """Normalized scenario echo embedded in reports (all values JSON-safe)."""
-    return {
-        "name": sc.name,
-        "instance": sc.instance_spec,
-        "mode": sc.mode,
-        "degree": sc.degree,
-        "cutoff": sc.cutoff,
-        "t_samples": [str(t) for t in sc.t_samples],
-        "u_samples": list(sc.u_samples),
-        "k_range": list(sc.k_range),
-        "seed": sc.seed,
-        "suites": list(sc.suites),
-        "scalar": sc.scalar,
-        "sections": [dict(s) for s in sc.sections],
-        "closure_cap": sc.closure_cap,
-    }
+    doc = dataclasses.asdict(sc)
+    doc["instance"] = doc.pop("instance_spec")
+    doc["t_samples"] = [str(t) for t in sc.t_samples]
+    return doc
 
 
 def _suite_seed(seed: int, suite: str) -> int:
@@ -280,7 +302,7 @@ def _mode_instance(sc: Scenario, inst: ProlongationInstance) -> ProlongationInst
 # -- suite runners ------------------------------------------------------------
 
 
-def _run_bessel(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
+def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     mi = _mode_instance(sc, inst)
     k_lo, k_hi = sc.k_range
     reports = [
@@ -305,22 +327,11 @@ def _run_bessel(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationRe
     return merge_reports("bessel-recurrences", reports)
 
 
-def _run_prolongation(sc: Scenario, inst: ProlongationInstance, rng) -> VerificationReport:
+def _run_prolongation(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     return merge_reports(
         "prolongation",
         [prolongation_residual(inst, u, sc.degree) for u in sc.u_samples],
     )
-
-
-def _run_scalar(sc: Scenario, inst, rng) -> VerificationReport:
-    params = sc.scalar or {}
-    omega = _fraction(params.get("omega", 1), "scalar.omega")
-    p0 = _fraction(params.get("p0", 1), "scalar.p0")
-    m0 = _fraction(params.get("m0", 1), "scalar.m0")
-    ts = tuple(
-        _fraction(v, "scalar.t_samples") for v in params.get("t_samples", [])
-    ) or sc.t_samples
-    return scalar_check(omega, p0, m0, ts, sc.degree)
 
 
 _DEFAULT_SECTIONS = (
@@ -330,19 +341,16 @@ _DEFAULT_SECTIONS = (
 )
 
 
-def _run_proposition1(sc: Scenario, inst, rng: random.Random) -> VerificationReport:
-    specs = list(sc.sections) if sc.sections else list(_DEFAULT_SECTIONS)
-    reports = []
-    for i, spec in enumerate(specs):
-        try:
-            section = Section(spec)
-        except (ValueError, KeyError) as e:
-            raise ScenarioError(f"sections[{i}]: {e}") from e
-        rep = check_proposition1(section)
-        reports.append(_prefix_records(rep, f"fixed{i}"))
-    for i in range(3):
-        rep = check_proposition1(random_section(rng))
-        reports.append(_prefix_records(rep, f"random{i}"))
+def _run_proposition1(sc: Scenario, inst) -> VerificationReport:
+    reports = [
+        _prefix_records(check_proposition1(_section(i, spec)), f"fixed{i}")
+        for i, spec in enumerate(sc.sections or _DEFAULT_SECTIONS)
+    ]
+    rng = random.Random(_suite_seed(sc.seed, "eds-proposition1"))
+    reports += [
+        _prefix_records(check_proposition1(random_section(rng)), f"random{i}")
+        for i in range(3)
+    ]
     return merge_reports("eds-proposition1", reports)
 
 
@@ -353,34 +361,37 @@ def _prefix_records(rep: VerificationReport, tag: str) -> VerificationReport:
     return dataclasses.replace(rep, records=records)
 
 
-# suite -> (needs operator initial data, runner(sc, inst, rng)), in the order
+# suite -> (needs operator initial data, runner(sc, inst)), in the order
 # a default run uses and every report echoes
 _SUITE_TABLE = {
     "bessel-recurrences": (True, _run_bessel),
     "ode-residuals": (
         True,
-        lambda sc, inst, rng: ode_check(_mode_instance(sc, inst), sc.degree),
+        lambda sc, inst: ode_check(_mode_instance(sc, inst), sc.degree),
     ),
     "solution-equivalence": (
         True,
-        lambda sc, inst, rng: equivalence_check(
+        lambda sc, inst: equivalence_check(
             _mode_instance(sc, inst), sc.t_samples, sc.cutoff, sc.degree
         ),
     ),
-    "bch": (True, lambda sc, inst, rng: bch_check(inst, sc.t_samples, sc.degree)),
+    "bch": (True, lambda sc, inst: bch_check(inst, sc.t_samples, sc.degree)),
     "prolongation": (True, _run_prolongation),
     "initial-conditions": (
         True,
-        lambda sc, inst, rng: initial_condition_check(_mode_instance(sc, inst), sc.degree),
+        lambda sc, inst: initial_condition_check(_mode_instance(sc, inst), sc.degree),
     ),
-    "scalar-reduction": (False, _run_scalar),
+    "scalar-reduction": (
+        False,
+        lambda sc, inst: scalar_check(*_scalar_args(sc.scalar, sc.t_samples), sc.degree),
+    ),
     "eds-proposition1": (False, _run_proposition1),
-    "eds-closure": (False, lambda sc, inst, rng: closure_check(cap=sc.closure_cap)),
+    "eds-closure": (False, lambda sc, inst: closure_check(cap=sc.closure_cap)),
     "eds-constraints": (
         True,
-        lambda sc, inst, rng: constraint_residuals(inst, u_samples=sc.u_samples, D=sc.degree),
+        lambda sc, inst: constraint_residuals(inst, u_samples=sc.u_samples, D=sc.degree),
     ),
-    "compatibility": (True, lambda sc, inst, rng: compatibility_check(inst)),
+    "compatibility": (True, lambda sc, inst: compatibility_check(inst)),
 }
 SUITES = tuple(_SUITE_TABLE)
 INSTANCE_FREE = tuple(s for s, (needs, _) in _SUITE_TABLE.items() if not needs)
@@ -401,7 +412,7 @@ def run_suite(
     assert inst is not None or not needs_instance
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return runner(sc, inst, random.Random(_suite_seed(sc.seed, suite)))
+            return runner(sc, inst)
     except CouplingError as e:
         record = make_record(
             "coupling-precondition",
@@ -423,20 +434,10 @@ def run_suite(
     return VerificationReport(name=suite, records=(record,))
 
 
-def run_scenario(sc: Scenario, only: Optional[Sequence[str]] = None) -> VerificationReport:
-    suites = tuple(only) if only else sc.suites
-    if "bessel-recurrences" in suites:
-        need = max(abs(k) for k in sc.k_range) + 2
-        if sc.degree < need:
-            raise ScenarioError(
-                f"degree {sc.degree} is too low for k_range {list(sc.k_range)}: "
-                f"bessel-recurrences needs degree >= max|k| + 2 = {need}"
-            )
+def run_scenario(sc: Scenario) -> VerificationReport:
+    """The report of every suite of `sc`, a scenario parse_scenario checked."""
     inst = build_instance(sc.instance_spec) if sc.instance_spec is not None else None
-    needs = [s for s in suites if s not in INSTANCE_FREE]
-    if needs and inst is None:
-        raise ScenarioError(f"suites {needs} need an 'instance'")
-    reports = [run_suite(sc, suite, inst) for suite in suites]
+    reports = [run_suite(sc, suite, inst) for suite in sc.suites]
     merged = merge_reports(sc.name, reports)
     return dataclasses.replace(merged, scenario=scenario_digest(sc))
 
@@ -452,13 +453,11 @@ def _cmd_verify(args) -> int:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 2
     try:
-        sc = parse_scenario(text)
-        if args.seed is not None:
-            sc = dataclasses.replace(sc, seed=args.seed)
-        report = run_scenario(sc, only=args.suite or None)
+        sc = parse_scenario(text, suites=args.suite, seed=args.seed)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    report = run_scenario(sc)
     out = render_structured(report) if args.format == "structured" else render_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -485,14 +484,7 @@ def _cmd_catalog(args) -> int:
         "name": inst.name,
         "dim": inst.dim,
         "mode": inst.mode,
-        "operators": {
-            "L": inst.L.to_jsonable(),
-            "M0": inst.M0.to_jsonable(),
-            "P0": inst.P0.to_jsonable(),
-            "N": inst.N.to_jsonable(),
-            "A": inst.A.to_jsonable(),
-            "B": inst.B.to_jsonable(),
-        },
+        "operators": {k: getattr(inst, k).to_jsonable() for k in _OPERATORS},
         "compatibility": {
             r.check_id: r.verdict for r in compat.sorted().records
         },

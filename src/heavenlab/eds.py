@@ -1,6 +1,6 @@
 """Exterior differential system for u_xx + u_yy + (e^u)_zz = 0.
 
-Forms live over a fixed coordinate ring (x, y, z, u, p, q, r, xi^1..xi^N).  One
+Forms live over one fixed coordinate ring, BASE_RING (x, y, z, u, p, q, r).  One
 sparse type, DifferentialForm, holds every degree: a sum of rational terms
 c * monomial * e^{s u} * dW, so a 0-form is a coefficient-ring element and *
 is the wedge product.  Everything symbolic here is exact: wedge, exterior
@@ -95,22 +95,6 @@ class Ring:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
         return DifferentialForm(self, 0, {((), mono, int(s)): Fraction(c)})
-
-
-def base_ring(n_xi: int = 0) -> Ring:
-    """The canonical coordinate ring (memoized per pseudopotential count)."""
-    try:
-        return _BASE_RINGS[n_xi]
-    except KeyError:
-        pass
-    coords = ["x", "y", "z", "u", "p", "q", "r"] + [f"xi{i+1}" for i in range(n_xi)]
-    ring = Ring(coords)
-    ring.exp_derivs = {"u": ring.one()}
-    _BASE_RINGS[n_xi] = ring
-    return ring
-
-
-_BASE_RINGS: dict[int, Ring] = {}
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -289,6 +273,12 @@ class DifferentialForm:
         return "*".join(bits)
 
 
+# the coordinate ring of every form of the ideal; forms over different rings
+# never mix, so every caller shares this one object
+BASE_RING = Ring(("x", "y", "z", "u", "p", "q", "r"))
+BASE_RING.exp_derivs = {"u": BASE_RING.one()}
+
+
 def one_form(ring: Ring, var: str, coeff: Optional[DifferentialForm] = None) -> DifferentialForm:
     """coeff * d(var)."""
     dv = DifferentialForm(ring, 1, {((ring.index(var),), (), 0): Fraction(1)})
@@ -319,7 +309,7 @@ def ext_d(a: DifferentialForm) -> DifferentialForm:
 # -- the exterior ideal ------------------------------------------------------
 
 
-def base_ideal(ring: Optional[Ring] = None) -> tuple[DifferentialForm, ...]:
+def base_ideal() -> tuple[DifferentialForm, ...]:
     """The four generators:
 
         theta1 = du^dx^dy - r dx^dy^dz
@@ -327,8 +317,7 @@ def base_ideal(ring: Optional[Ring] = None) -> tuple[DifferentialForm, ...]:
         theta3 = du^dx^dz + q dx^dy^dz
         theta4 = dp^dy^dz - dq^dx^dz + e^u dr^dx^dy + e^u r^2 dx^dy^dz
     """
-    if ring is None:
-        ring = base_ring()
+    ring = BASE_RING
     f = lambda *vs: form_from_wedge(ring, vs)
     dxdydz = f("x", "y", "z")
     theta1 = f("u", "x", "y") - ring.var("r") * dxdydz

@@ -543,6 +543,13 @@ def _cal_derivative_tail(
     Terms of J_nu(t ad_L)[A] have degree nu+2m and norm <=
     nA (t ||L||)^{nu+2m} / (m!(m+nu)!); differentiation multiplies each by its
     degree over t.
+
+    A term that is 0.0 ends the sum, which the relative test alone would not
+    end if every term is 0.0.  Then nA = 0, or the term is below the float
+    range while the terms shrink (were r^2 >= m(m+nu), the term would be at
+    least nA).  Stopping there is sound: prolongation_residual and
+    eds.constraint_residuals multiply the tail by t/2 and add a roundoff
+    allowance of at least 64*EPS*(D+2), far above any tail that underflows.
     """
     total = 0.0
     m = (D - nu) // 2 + 1
@@ -553,7 +560,7 @@ def _cal_derivative_tail(
         except OverflowError:
             return math.inf
         total += deg * term / max(t_abs, 1e-300)
-        if term < 1e-30 * max(total, 1e-300):
+        if term == 0.0 or term < 1e-30 * max(total, 1e-300):
             break
         m += 1
     return total

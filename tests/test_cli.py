@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from heavenlab import cli
 from heavenlab.cli import (
     INSTANCE_FREE,
     SUITES,
@@ -46,6 +47,12 @@ def test_parse_no_instance_restricts_suites():
 def test_parse_rejects_bad_json_with_position():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_scenario("{")
+
+
+def test_parse_rejects_integer_past_digit_limit():
+    # json raises a plain ValueError, not JSONDecodeError, past 4300 digits
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        parse_scenario('{"name": "x", "degree": ' + "1" * 5000 + "}")
 
 
 def test_parse_rejects_unknown_keys():
@@ -113,8 +120,8 @@ def test_run_scenario_heisenberg_all_suites_pass():
 
 
 def test_run_scenario_suite_filter():
-    sc = parse_scenario(json.dumps(HEIS))
-    rep = run_scenario(sc, only=["compatibility"])
+    sc = parse_scenario(json.dumps(HEIS), suites=["compatibility"])
+    rep = run_scenario(sc)
     assert {r.suite for r in rep.records} == {"compatibility"}
 
 
@@ -126,8 +133,8 @@ def test_run_scenario_expected_fail_fails():
 
 
 def test_structured_report_round_trip():
-    sc = parse_scenario(json.dumps(HEIS))
-    rep = run_scenario(sc, only=["initial-conditions"])
+    sc = parse_scenario(json.dumps(HEIS), suites=["initial-conditions"])
+    rep = run_scenario(sc)
     text = render_structured(rep)
     back = parse_structured(text)
     assert back.name == rep.name
@@ -144,10 +151,10 @@ def test_structured_output_deterministic():
 
 
 def test_seed_changes_are_isolated_to_random_content():
-    sc1 = parse_scenario(json.dumps(dict(HEIS, seed=1)))
-    sc2 = parse_scenario(json.dumps(dict(HEIS, seed=2)))
-    r1 = run_scenario(sc1, only=["initial-conditions"])
-    r2 = run_scenario(sc2, only=["initial-conditions"])
+    sc1 = parse_scenario(json.dumps(dict(HEIS, seed=1)), suites=["initial-conditions"])
+    sc2 = parse_scenario(json.dumps(dict(HEIS, seed=2)), suites=["initial-conditions"])
+    r1 = run_scenario(sc1)
+    r2 = run_scenario(sc2)
     # deterministic suites agree check-for-check regardless of seed
     assert [r.check_id for r in r1.sorted().records] == [
         r.check_id for r in r2.sorted().records
@@ -233,6 +240,13 @@ def test_tiny_exact_residual_fails_its_zero_bound(tmp_path):
         ("scalar", {"t_samples": 5}),
         ("instance", {"catalog": ["x"]}),
         ("instance", {"operators": 5}),
+        ("u_samples", [10**400]),
+        ("u_samples", [float("nan")]),
+        ("u_samples", [0, float("inf")]),
+        ("u_samples", [-float("inf")]),
+        # checked although only compatibility runs
+        ("scalar", {"omega": "abc"}),
+        ("sections", [{"q^2": "zz"}]),
     ],
 )
 def test_main_rejects_mistyped_scenario_value(tmp_path, capsys, key, value):
@@ -240,6 +254,28 @@ def test_main_rejects_mistyped_scenario_value(tmp_path, capsys, key, value):
     path.write_text(json.dumps({**HEIS, "suites": ["compatibility"], key: value}))
     assert main(["verify", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_main_checks_every_key_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    def run_suite(*args):
+        raise AssertionError(f"suite {args[1]} ran on an unchecked scenario")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        **HEIS, "suites": ["compatibility", "scalar-reduction"], "scalar": {"omega": "abc"},
+    }))
+    assert main(["verify", str(path)]) == 2
+    assert "scalar.omega" in capsys.readouterr().err
+
+
+def test_main_echoes_the_suites_that_ran(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(HEIS))
+    out = tmp_path / "r.json"
+    argv = ["verify", str(path), "--suite", "compatibility", "--format", "structured"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["suites"] == ["compatibility"]
 
 
 @pytest.mark.parametrize("cap", [-1, 0])

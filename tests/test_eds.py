@@ -7,12 +7,12 @@ import pytest
 
 from heavenlab import eds
 from heavenlab.eds import (
+    BASE_RING,
     DifferentialForm,
     _solve_exact,
     Ring,
     Section,
     base_ideal,
-    base_ring,
     check_proposition1,
     closure_check,
     constraint_residuals,
@@ -27,7 +27,7 @@ from heavenlab.eds import (
 from heavenlab.opcore import Operator
 from heavenlab.prolong import catalog_instance
 
-R = base_ring()
+R = BASE_RING
 
 
 def _random_form(rng: random.Random, ring: Ring, degree: int) -> DifferentialForm:
@@ -296,7 +296,7 @@ def test_pullback_heavenly_coefficient_example():
 
 
 def test_pullback_rejects_pseudopotential_forms():
-    ring = base_ring(n_xi=2)
+    ring = Ring((*BASE_RING.coords, "xi1", "xi2"))
     sec = Section({"x": 1})
     bad = one_form(ring, "xi1")
     with pytest.raises(ValueError):

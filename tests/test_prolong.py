@@ -1,4 +1,5 @@
 """Closed-form prolongation solutions: ODEs, route equivalence, residuals."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import scipy.special
 
 from heavenlab.adjoint import AdjointContext
 from heavenlab.besselop import bessel_series, series_eval
+from heavenlab.eds import constraint_residuals
 from heavenlab.opcore import EXACT, FLOAT, Operator, commutator, frobenius
 from heavenlab.prolong import (
     HeavenlyVariable,
@@ -186,6 +188,27 @@ def test_prolongation_residuals_catalog(name):
     for u in (-2.0, 0.0):
         rep = prolongation_residual(inst, u, 20)
         assert rep.all_passed(), (name, u, rep.failed_records())
+
+
+# [L, P0] = [L, M0] = 0 with M0 = 0, so every term of the M-derivative tail is 0
+ZERO_M0 = dataclasses.replace(
+    catalog_instance("diag2"), name="zero-m0", M0=Operator.zero(2, EXACT),
+    P0=Operator.diag([1, 2]),
+)
+
+
+@pytest.mark.parametrize(
+    "inst, u",
+    [(catalog_instance("diag2"), -100.0), (catalog_instance("diag2"), -2000.0), (ZERO_M0, 0.0)],
+    ids=["diag2-tiny-t", "diag2-zero-t", "zero-m0"],
+)
+def test_prolongation_bounds_finite_when_tail_terms_vanish(inst, u):
+    # t = 2 e^{u/2} is 3.9e-22 at u = -100 and 0.0 at u = -2000, so every
+    # dropped derivative term is 0.0; a vanishing tail must not read inf or nan
+    reports = (prolongation_residual(inst, u, 16), constraint_residuals(inst, u_samples=(u,), D=16))
+    for rep in reports:
+        assert rep.all_passed(), rep.failed_records()
+        assert all(math.isfinite(r.bound) for r in rep.records), rep.records
 
 
 def test_expected_fail_instance_flagged():
