@@ -66,13 +66,13 @@ def bch_remainder_bound(ctx: AdjointContext, a0: Operator, t: float, degree: int
     return term * math.exp(min(r, 700.0))
 
 
-def bch_conjugate(ctx: AdjointContext, a0: Operator, t: float, tol: float = 1e-13) -> Operator:
-    """e^{itL} A0 e^{-itL} via the matrix exponential."""
+def bch_conjugate(ctx: AdjointContext, a0: Operator, t: float) -> Operator:
+    """e^{itL} A0 e^{-itL} via the matrix exponential, each factor to 1e-13."""
     if ctx.L.mode != FLOAT or a0.mode != FLOAT:
         raise ModeMismatchError("bch_conjugate requires float mode")
     from .opcore import operator_exp
 
     itL = ctx.L.scale(1j * t)
-    left = operator_exp(itL, tol)
-    right = operator_exp(itL.scale(-1.0), tol)
+    left = operator_exp(itL, 1e-13)
+    right = operator_exp(itL.scale(-1.0), 1e-13)
     return left @ a0 @ right

@@ -39,6 +39,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .opcore import (
+    EPS,
     EXACT,
     FLOAT,
     DimensionMismatchError,
@@ -50,8 +51,6 @@ from .opcore import (
     powers as operator_powers,
 )
 from .report import VerificationReport, make_record
-
-EPS = float(np.finfo(np.float64).eps)
 
 
 class TailBound:
@@ -68,8 +67,8 @@ class OperatorSeries:
 
     Degree-truncating ring: addition and scalar/operator multiplication keep
     the stored degree; shift(k) multiplies by t^k by index shifting (never by
-    division).  tail_fn, when present, maps |t| to a bound on the dropped
-    infinite tail.
+    division).  tail_fn, when its builder sets it, maps |t| to a bound on the
+    dropped infinite tail.
 
     The storage follows the mode.  An exact series is a tuple of canonical
     Operators.  A float series is one read-only (D+1, n, n) array: each
@@ -81,11 +80,7 @@ class OperatorSeries:
 
     __slots__ = ("_arr", "_coeffs", "dim", "mode", "tail_fn")
 
-    def __init__(
-        self,
-        coeffs: Sequence[Operator],
-        tail_fn: Optional[Callable[[float], float]] = None,
-    ):
+    def __init__(self, coeffs: Sequence[Operator]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
@@ -102,7 +97,7 @@ class OperatorSeries:
         self._coeffs = coeffs
         self.dim = dim
         self.mode = mode
-        self.tail_fn = tail_fn
+        self.tail_fn = None
 
     @classmethod
     def _frozen(cls, arr: np.ndarray) -> "OperatorSeries":
@@ -359,15 +354,15 @@ def bessel_series(
     return s
 
 
-def bessel_eval(
-    X_powers: list[Operator], m: int, t, mode: str
-) -> Operator:
-    """J_m(tX) evaluated directly at numeric t from cached powers of X.
+def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:
+    """J_m(tX) evaluated directly at numeric t from cached powers of X, in
+    their mode.
 
     Used by the bilateral-sum solution where building full series objects for
     every index would repeat work.  Summation is in ascending degree, matching
     the series construction.
     """
+    mode = X_powers[0].mode
     acc = Operator.zero(X_powers[0].dim, mode)
     if mode == EXACT and not isinstance(t, (int, Fraction)):
         t = Fraction(t)
@@ -376,15 +371,13 @@ def bessel_eval(
     return acc
 
 
-def generating_oracle(
-    X: Operator, m: int, t: float, nodes: int = 64, imag_tol: float = 1e-12
-) -> Operator:
+def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operator:
     """Quadrature route to J_m(tX):
 
         J_m(tX) = (1/2pi) int_0^{2pi} exp(i t X sin(theta)) e^{-i m theta} dtheta
 
     with a uniform trapezoid rule (spectrally accurate for this integrand).
-    For real X the complex residue is checked against imag_tol before being
+    For real X the complex residue is checked against 1e-12 before being
     discarded; a residue above the threshold raises instead of being dropped.
     """
     if X.mode != FLOAT:
@@ -404,10 +397,8 @@ def generating_oracle(
     acc /= nodes
     if was_real:
         imag_norm = float(np.sqrt((acc.imag**2).sum()))
-        if imag_norm > imag_tol:
-            raise ValueError(
-                f"complex residue {imag_norm:.3e} exceeds {imag_tol:.3e}; not discarded"
-            )
+        if imag_norm > 1e-12:
+            raise ValueError(f"complex residue {imag_norm:.3e} exceeds 1e-12; not discarded")
         return Operator._float(np.ascontiguousarray(acc.real))
     return Operator._float(acc)
 

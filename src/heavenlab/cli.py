@@ -5,12 +5,14 @@
     heavenlab catalog show <name>
 
 Exit status: 0 all required checks passed, 1 at least one failed, 2 the
-scenario or command line could not be parsed.  Structured output is
-deterministic: same scenario, same seed, byte-identical report.
+scenario or command line could not be parsed, or the report file could not be
+opened; 2 comes before any suite runs.  Structured output is deterministic:
+same scenario, same seed, byte-identical report.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -202,6 +204,8 @@ def parse_scenario(
         raise ScenarioError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
     except ValueError as e:  # an integer literal past Python's digit limit
         raise ScenarioError(f"invalid JSON: {e}")
+    except RecursionError:
+        raise ScenarioError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     known = ({f.name for f in dataclasses.fields(Scenario)} - {"instance_spec"}) | {"instance"}
@@ -449,7 +453,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 2
     try:
@@ -457,15 +461,20 @@ def _cmd_verify(args) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report = run_scenario(sc)
-    out = render_structured(report) if args.format == "structured" else render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-            if not out.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(out)
+    # the report file is opened before any suite runs, so that a path that
+    # cannot be written exits 2 at once, like every other bad input
+    try:
+        out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        return 2
+    with out_fh or contextlib.nullcontext():
+        report = run_scenario(sc)
+        out = render_structured(report) if args.format == "structured" else render_text(report)
+        if out_fh is None:
+            print(out)
+        else:
+            out_fh.write(out)  # both renderings end with a newline
     return 0 if report.all_passed() else 1
 
 

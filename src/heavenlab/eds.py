@@ -30,15 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .opcore import FLOAT, Operator, commutator, frobenius
-from .prolong import (
-    ProlongationInstance,
-    eval_at_u,
-    hfg_at,
-    solution_cal_form,
-    structure_bounds,
-)
-from .besselop import EPS
+from .opcore import EPS, FLOAT, NonFiniteError, Operator, commutator, frobenius
+from .prolong import ProlongationInstance, eval_at_u, solution_cal_form
 from .report import VerificationReport, info_record, make_record
 
 Monomial = tuple[tuple[int, int], ...]  # ascending (coordinate index, exponent)
@@ -397,15 +390,16 @@ class Section:
         return out
 
 
-def random_section(rng: random.Random, degree: int = 3, n_terms: int = 6) -> Section:
-    """Seeded random polynomial section of total degree <= degree."""
+def random_section(rng: random.Random, degree: int = 3) -> Section:
+    """Seeded random polynomial section of total degree <= degree, from 6
+    random terms."""
     monos = [
         "*".join(m) or "1"
         for d in range(degree + 1)
         for m in itertools.combinations_with_replacement(("x", "y", "z"), d)
     ]
     spec: dict[str, Fraction] = {}
-    for _ in range(n_terms):
+    for _ in range(6):
         m = rng.choice(monos)
         spec[m] = spec.get(m, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return Section(spec)
@@ -666,11 +660,13 @@ def closure_check(cap: int = 3) -> VerificationReport:
 
 # -- the constraint system of the prolongation ansatz -----------------------
 
+# the slopes u_x, u_y, u_z at which the structure equation is sampled
+_SLOPES = (-1.0, 0.0, 1.0)
+
 
 def constraint_residuals(
     inst: ProlongationInstance,
     u_samples: Sequence[float] = (-2.0, -1.0, 0.0),
-    slope_values: Sequence[float] = (-1.0, 0.0, 1.0),
     D: int = 16,
 ) -> VerificationReport:
     """Every closure constraint of the prolongation ansatz, numerically.
@@ -695,22 +691,23 @@ def constraint_residuals(
     try:
         Binv_arr = np.linalg.inv(fi.B.data)
     except np.linalg.LinAlgError:
-        raise ValueError("singular B") from None
+        # build_instance refuses a B that is singular over the rationals, so
+        # only its rounding to float64 can be singular
+        raise NonFiniteError("singular B in float64: B^-1 is not finite") from None
     Binv = Operator(np.ascontiguousarray(Binv_arr), FLOAT)
 
     sol = solution_cal_form(fi, D)
     for u in u_samples:
-        pt = eval_at_u(fi, sol, u)
-        hv, P, M, Pu, Mu = pt[:5]
-        eu = hv.exp_u
+        at = eval_at_u(fi, sol, u)
+        eu = at.exp_u
         rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
-            1.0, frobenius(P) + frobenius(M) + frobenius(fi.N) + 1.0
-        ) * max(1.0, hv.t) ** D
+            1.0, frobenius(at.P) + frobenius(at.M) + frobenius(fi.N) + 1.0
+        ) * max(1.0, at.t) ** D
         # slope-derivative structure (exact FD; the dependence is linear)
-        H0, F0, G0 = hfg_at(fi, hv, P, M, 0.0, 0.0, 0.0)
-        Hx, Fx, Gx = hfg_at(fi, hv, P, M, 1.0, 0.0, 0.0)
-        Hy, Fy, Gy = hfg_at(fi, hv, P, M, 0.0, 1.0, 0.0)
-        Hz, Fz, Gz = hfg_at(fi, hv, P, M, 0.0, 0.0, 1.0)
+        H0, F0, G0 = at.hfg(fi, 0.0, 0.0, 0.0)
+        Hx, Fx, Gx = at.hfg(fi, 1.0, 0.0, 0.0)
+        Hy, Fy, Gy = at.hfg(fi, 0.0, 1.0, 0.0)
+        Hz, Fz, Gz = at.hfg(fi, 0.0, 0.0, 1.0)
         H_ux, H_uy, H_uz = Hx - H0, Hy - H0, Hz - H0
         F_ux, F_uy, F_uz = Fx - F0, Fy - F0, Fz - F0
         G_ux, G_uy, G_uz = Gx - G0, Gy - G0, Gz - G0
@@ -732,15 +729,15 @@ def constraint_residuals(
         ):
             record_sample(cid, frobenius(mat), rough, f"u={u:g}")
 
-        b1, b2, b3 = structure_bounds(pt, nL, rough)
+        b1, b2, b3 = at.structure_bounds(nL, rough)
 
-        for ux in slope_values:
-            for uy in slope_values:
-                for uz in slope_values:
-                    H, Fm, G = hfg_at(fi, hv, P, M, ux, uy, uz)
-                    Hu = L.scale(eu * uz) + Pu
+        for ux in _SLOPES:
+            for uy in _SLOPES:
+                for uz in _SLOPES:
+                    H, Fm, G = at.hfg(fi, ux, uy, uz)
+                    Hu = L.scale(eu * uz) + at.Pu
                     Fu = Operator.zero(n, FLOAT)
-                    Gu = Mu
+                    Gu = at.Mu
                     struct = (
                         Hu.scale(uz)
                         - Fu.scale(uy)

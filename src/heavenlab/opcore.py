@@ -74,6 +74,10 @@ def _exact_entry(x: ScalarLike) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
 
 
+# machine epsilon of float64, the unit of every float-mode roundoff allowance
+EPS = float(np.finfo(np.float64).eps)
+
+
 def _check_finite(arr: np.ndarray) -> None:
     # an inf or nan entry makes the sum inf or nan; an overflowing sum of
     # finite entries is settled by the entrywise test

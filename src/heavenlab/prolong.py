@@ -38,7 +38,6 @@ from .adjoint import (
     bch_series,
 )
 from .besselop import (
-    EPS,
     OperatorSeries,
     bessel_coeffs,
     bessel_eval,
@@ -49,6 +48,7 @@ from .besselop import (
     series_eval,
 )
 from .opcore import (
+    EPS,
     EXACT,
     FLOAT,
     DimensionMismatchError,
@@ -62,7 +62,6 @@ from .report import VerificationReport, make_record
 
 __all__ = [
     "ProlongationInstance",
-    "HeavenlyVariable",
     "cal_bessel",
     "CouplingError",
     "CalSolution",
@@ -78,9 +77,8 @@ __all__ = [
     "initial_condition_check",
     "scalar_reduction",
     "scalar_check",
+    "SolutionAt",
     "eval_at_u",
-    "structure_bounds",
-    "hfg_at",
     "catalog_names",
     "catalog_instance",
 ]
@@ -136,33 +134,6 @@ class ProlongationInstance:
             A=self.A.to_float(),
             B=self.B.to_float(),
         )
-
-
-@dataclass(frozen=True)
-class HeavenlyVariable:
-    """The substitution t = 2 e^{u/2}.
-
-    e^u is exposed as (t/2)^2 so that float evaluations of e^u agree bit-for-
-    bit wherever the chain rule produces the same product; this is what makes
-    the nilpotent fixture's residuals vanish exactly in float arithmetic.
-    """
-
-    u: float
-    t: float
-
-    @classmethod
-    def from_u(cls, u: float) -> "HeavenlyVariable":
-        s = math.exp(u / 2.0)
-        return cls(u=float(u), t=2.0 * s)
-
-    @property
-    def exp_u(self) -> float:
-        h = self.t / 2.0
-        return h * h
-
-    @property
-    def half_t(self) -> float:
-        return self.t / 2.0
 
 
 def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSeries:
@@ -259,7 +230,7 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
         t = Fraction(t)
     L_powers = powers(inst.L, D)
     J: dict[int, Operator] = {
-        k: bessel_eval(L_powers, k, t, mode) for k in range(-K - 1, K + 2)
+        k: bessel_eval(L_powers, k, t) for k in range(-K - 1, K + 2)
     }
     t_abs = abs(float(t))
     r = t_abs * frobenius(inst.L) / 2.0
@@ -474,19 +445,18 @@ def prolongation_residual(
     nilpotent fixture cancels exactly in float arithmetic.
     """
     fi = inst.to_float()
-    pt = eval_at_u(fi, solution_cal_form(fi, D), u)
-    hv, P, M, Pu, Mu = pt[:5]
-    t, eu, L = hv.t, hv.exp_u, fi.L
+    at = eval_at_u(fi, solution_cal_form(fi, D), u)
+    t, L = at.t, fi.L
 
-    r1 = Pu - commutator(L, M).scale(eu)
-    r2 = Mu + commutator(L, P)
-    r3 = commutator(M, P)
+    r1 = at.Pu - commutator(L, at.M).scale(at.exp_u)
+    r2 = at.Mu + commutator(L, at.P)
+    r3 = commutator(at.M, at.P)
 
     nL = frobenius(L)
     np0, nm0 = frobenius(fi.P0), frobenius(fi.M0)
-    nM, nP = frobenius(M), frobenius(P)
+    nM, nP = frobenius(at.M), frobenius(at.P)
     rough = 64.0 * EPS * (D + 2) * max(1.0, nL) * max(1.0, nM + nP, np0 + nm0) * max(1.0, t) ** D
-    b1, b2, b3 = structure_bounds(pt, nL, rough)
+    b1, b2, b3 = at.structure_bounds(nL, rough)
 
     mk = lambda cid, eq, res, bnd: make_record(
         cid, "prolongation", eq, res, bnd, detail=f"u={u:g}, t={t:.6g}, degree {D}"
@@ -499,15 +469,74 @@ def prolongation_residual(
     return VerificationReport(name=f"prolongation:{inst.name}@u={u:g}", records=records)
 
 
-def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> tuple:
-    """(hv, P, M, Pu, Mu, p_tail, m_tail, dp_tail, dm_tail) at t = 2 e^{u/2}.
+@dataclass(frozen=True)
+class SolutionAt:
+    """The cal-form solution at one u, where t = 2 e^{u/2}; float mode.
 
-    Float mode.  u-derivatives use the chain rule P_u = (t/2) P_t on the
-    formal derivative series; each tail bounds the truncation of the value
-    before it, the derivative tails by term-wise differentiated majorants.
+    P and M are the values, Pu and Mu their u-derivatives, and each tail
+    bounds the truncation of the value it is named after.
     """
-    hv = HeavenlyVariable.from_u(u)
-    t = hv.t
+
+    u: float
+    t: float
+    P: Operator
+    M: Operator
+    Pu: Operator
+    Mu: Operator
+    p_tail: float
+    m_tail: float
+    dp_tail: float
+    dm_tail: float
+
+    @property
+    def exp_u(self) -> float:
+        """e^u, as (t/2)^2.
+
+        Float evaluations of e^u then agree bit-for-bit wherever the chain
+        rule produces the same product; this is what makes the nilpotent
+        fixture's residuals vanish exactly in float arithmetic.
+        """
+        h = self.t / 2.0
+        return h * h
+
+    @property
+    def half_t(self) -> float:
+        return self.t / 2.0
+
+    def structure_bounds(self, nL: float, rough: float) -> tuple[float, float, float]:
+        """Truncation bounds b1, b2, b3 on the residuals of
+
+            P_u - e^u [L, M],   M_u + [L, P],   [M, P]
+
+        here, nL being ||L||, each plus the caller's roundoff allowance `rough`.
+        """
+        p_tail, m_tail = self.p_tail, self.m_tail
+        b1 = self.half_t * self.dp_tail + self.exp_u * 2 * nL * m_tail + rough
+        b2 = self.half_t * self.dm_tail + 2 * nL * p_tail + rough
+        nM, nP = frobenius(self.M), frobenius(self.P)
+        b3 = 2 * (nM * p_tail + nP * m_tail + p_tail * m_tail) + rough
+        return b1, b2, b3
+
+    def hfg(
+        self, fi: ProlongationInstance, u_x: float, u_y: float, u_z: float
+    ) -> tuple[Operator, Operator, Operator]:
+        """The three 2-form coefficient matrices of the prolongation ansatz:
+
+            H = e^u u_z L + P(u),  F = -u_y L + N,  G = u_x L + M(u)
+        """
+        H = fi.L.scale(self.exp_u * u_z) + self.P
+        F = fi.L.scale(-u_y) + fi.N
+        G = fi.L.scale(u_x) + self.M
+        return H, F, G
+
+
+def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> SolutionAt:
+    """The solution `sol` at t = 2 e^{u/2}, for the float instance `fi`.
+
+    u-derivatives use the chain rule P_u = (t/2) P_t on the formal derivative
+    series; the derivative tails are term-wise differentiated majorants.
+    """
+    t = 2.0 * math.exp(u / 2.0)
     P, p_tb = series_eval(sol.p, t)
     M, m_tb = series_eval(sol.m, t)
     Pt, _ = series_eval(sol.p.derivative(), t)
@@ -516,23 +545,19 @@ def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> tuple:
     rr = t * twoL / 2.0
     dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, frobenius(fi.P0), twoL, t)
     dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, frobenius(fi.M0), twoL, t)
-    Pu, Mu = Pt.scale(hv.half_t), Mt.scale(hv.half_t)
-    return hv, P, M, Pu, Mu, p_tb.value, m_tb.value, dp_tail, dm_tail
-
-
-def structure_bounds(pt: tuple, nL: float, rough: float) -> tuple[float, float, float]:
-    """Truncation bounds b1, b2, b3 on the residuals of
-
-        P_u - e^u [L, M],   M_u + [L, P],   [M, P]
-
-    at the point `pt` of `eval_at_u`, each plus the caller's roundoff
-    allowance `rough`.
-    """
-    hv, P, M, _, _, p_tail, m_tail, dp_tail, dm_tail = pt
-    b1 = hv.half_t * dp_tail + hv.exp_u * 2 * nL * m_tail + rough
-    b2 = hv.half_t * dm_tail + 2 * nL * p_tail + rough
-    b3 = 2 * (frobenius(M) * p_tail + frobenius(P) * m_tail + p_tail * m_tail) + rough
-    return b1, b2, b3
+    half_t = t / 2.0
+    return SolutionAt(
+        u=float(u),
+        t=t,
+        P=P,
+        M=M,
+        Pu=Pt.scale(half_t),
+        Mu=Mt.scale(half_t),
+        p_tail=p_tb.value,
+        m_tail=m_tb.value,
+        dp_tail=dp_tail,
+        dm_tail=dm_tail,
+    )
 
 
 def _cal_derivative_tail(
@@ -672,27 +697,6 @@ def scalar_check(omega, p0, m0, t_samples, D: int) -> VerificationReport:
     return VerificationReport(name="scalar-reduction", records=tuple(records))
 
 
-def hfg_at(
-    fi: ProlongationInstance,
-    hv: HeavenlyVariable,
-    P: Operator,
-    M: Operator,
-    u_x: float,
-    u_y: float,
-    u_z: float,
-) -> tuple[Operator, Operator, Operator]:
-    """The three 2-form coefficient matrices of the prolongation ansatz:
-
-        H = e^u u_z L + P(u),  F = -u_y L + N,  G = u_x L + M(u)
-
-    at the point hv, given P(u) and M(u) there.
-    """
-    H = fi.L.scale(hv.exp_u * u_z) + P
-    F = fi.L.scale(-u_y) + fi.N
-    G = fi.L.scale(u_x) + M
-    return H, F, G
-
-
 # -- fixture catalog ---------------------------------------------------------
 
 
@@ -731,14 +735,14 @@ def _expected_fail2() -> ProlongationInstance:
     return _instance("expected-fail2", L, M0, M0, 2)
 
 
-def _nilpotent(n: int, seed: int) -> ProlongationInstance:
+def _nilpotent(n: int) -> ProlongationInstance:
     """Random strictly upper L with M0 = P0 = e_{n-1,n}.
 
     M0 L = 0 structurally, so the adjoint tower is ad^j[M0] = L^j M0, all
     supported in the last column; that makes [[L, M0], M0] = 0 and [M, P] = 0
     hold exactly while the tower itself stays nontrivial.
     """
-    rng = random.Random(seed * 1_000_003 + n)
+    rng = random.Random(n)
 
     def strict_upper() -> Operator:
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -760,14 +764,14 @@ def _nilpotent(n: int, seed: int) -> ProlongationInstance:
 
 
 _CATALOG = {
-    "heisenberg3": lambda seed: _heisenberg3(),
-    "diag2": lambda seed: _diag2(),
-    "commuting2": lambda seed: _commuting2(),
-    "expected-fail2": lambda seed: _expected_fail2(),
-    "nilpotent3": lambda seed: _nilpotent(3, seed),
-    "nilpotent4": lambda seed: _nilpotent(4, seed),
-    "nilpotent5": lambda seed: _nilpotent(5, seed),
-    "nilpotent6": lambda seed: _nilpotent(6, seed),
+    "heisenberg3": _heisenberg3,
+    "diag2": _diag2,
+    "commuting2": _commuting2,
+    "expected-fail2": _expected_fail2,
+    "nilpotent3": lambda: _nilpotent(3),
+    "nilpotent4": lambda: _nilpotent(4),
+    "nilpotent5": lambda: _nilpotent(5),
+    "nilpotent6": lambda: _nilpotent(6),
 }
 
 
@@ -775,11 +779,11 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def catalog_instance(name: str, seed: int = 0) -> ProlongationInstance:
+def catalog_instance(name: str) -> ProlongationInstance:
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise KeyError(
             f"unknown catalog instance {name!r}; available: {', '.join(catalog_names())}"
         ) from None
-    return builder(seed)
+    return builder()

@@ -68,7 +68,6 @@ class VerificationReport:
     name: str
     records: tuple[CheckRecord, ...] = ()
     scenario: Optional[dict] = None
-    tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
         self.records = tuple(self.records)
@@ -102,7 +101,7 @@ def render_text(report: VerificationReport) -> str:
     counts = rep.counts()
     lines = [
         f"report: {rep.name}",
-        f"tool version: {rep.tool_version}",
+        f"tool version: {TOOL_VERSION}",
         f"checks: {len(rep.records)}  pass={counts[PASS]}  fail={counts[FAIL]}  info={counts[INFO]}",
     ]
     for r in rep.records:
@@ -125,7 +124,7 @@ def render_structured(report: VerificationReport) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": rep.name,
-        "tool_version": rep.tool_version,
+        "tool_version": TOOL_VERSION,
         "scenario": rep.scenario,
         "checks": [
             {
@@ -142,27 +141,3 @@ def render_structured(report: VerificationReport) -> str:
         "result": "pass" if rep.all_passed() else "fail",
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def parse_structured(text: str) -> VerificationReport:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema: {doc.get('schema_version')!r}")
-    records = tuple(
-        CheckRecord(
-            check_id=c["check_id"],
-            suite=c["suite"],
-            equation=c["equation"],
-            residual=float(c["residual"]),
-            bound=float(c["bound"]),
-            verdict=c["verdict"],
-            detail=c.get("detail", ""),
-        )
-        for c in doc["checks"]
-    )
-    return VerificationReport(
-        name=doc["name"],
-        records=records,
-        scenario=doc.get("scenario"),
-        tool_version=doc.get("tool_version", TOOL_VERSION),
-    )

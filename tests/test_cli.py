@@ -16,7 +16,7 @@ from heavenlab.cli import (
     parse_scenario,
     run_scenario,
 )
-from heavenlab.report import parse_structured, render_structured
+from heavenlab.report import render_structured
 
 HEIS = {
     "name": "heis",
@@ -135,10 +135,9 @@ def test_run_scenario_expected_fail_fails():
 def test_structured_report_round_trip():
     sc = parse_scenario(json.dumps(HEIS), suites=["initial-conditions"])
     rep = run_scenario(sc)
-    text = render_structured(rep)
-    back = parse_structured(text)
-    assert back.name == rep.name
-    assert [r.check_id for r in back.sorted().records] == [
+    back = json.loads(render_structured(rep))
+    assert back["name"] == rep.name
+    assert [c["check_id"] for c in back["checks"]] == [
         r.check_id for r in rep.sorted().records
     ]
 
@@ -207,11 +206,10 @@ def test_tiny_exact_residual_fails_its_zero_bound(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
-    rep = parse_structured(out.read_text())
-    by_id = {r.check_id: r for r in rep.records}
-    assert by_id["ad-commutation"].failed()
-    assert by_id["ad-commutation"].residual > 0.0
-    assert not by_id["coupling"].failed()
+    by_id = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert by_id["ad-commutation"]["verdict"] == "fail"
+    assert by_id["ad-commutation"]["residual"] > 0.0
+    assert by_id["coupling"]["verdict"] == "pass"
 
 
 @pytest.mark.parametrize(
@@ -295,6 +293,25 @@ def test_parse_accepts_integral_float_for_integer_keys():
 
 def test_main_verify_missing_file():
     assert main(["verify", "/does/not/exist.json"]) == 2
+
+
+@pytest.mark.parametrize("scenario, out", [
+    pytest.param(json.dumps(HEIS).encode(), "no-such-dir/r.json", id="out-into-missing-dir"),
+    pytest.param(b"\xff\xfe{}", None, id="not-utf-8"),
+    pytest.param(b'{"name": "x", "sections": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 None, id="nested-too-deep"),
+])
+def test_main_bad_invocation_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, scenario, out):
+    def run_suite(*args):
+        raise AssertionError(f"suite {args[1]} ran on a bad invocation")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    path = tmp_path / "s.json"
+    path.write_bytes(scenario)
+    argv = ["verify", str(path)] + (["--out", str(tmp_path / out)] if out else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_main_out_file(tmp_path):
@@ -393,18 +410,26 @@ def test_main_degree_below_k_range_ok_without_recurrences(tmp_path):
     assert main(["verify", str(path)]) == 0
 
 
+NON_FINITE = "NonFiniteError: non-finite value"
+
+
 # numpy's overflow RuntimeWarning would be noise beside the recorded failure
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("suite, doc", [
-    pytest.param("prolongation", {"u_samples": [800]}, id="prolongation"),
-    pytest.param("eds-constraints", {"u_samples": [800]}, id="eds-constraints"),
+@pytest.mark.parametrize("suite, doc, detail", [
+    pytest.param("prolongation", {"u_samples": [800]}, NON_FINITE, id="prolongation"),
+    pytest.param("eds-constraints", {"u_samples": [800]}, NON_FINITE, id="eds-constraints"),
     # float Horner overflows at t = 1e200 and is checked once, at its end
-    pytest.param("bessel-recurrences", {"mode": "float", "t_samples": ["1e200"]},
+    pytest.param("bessel-recurrences", {"mode": "float", "t_samples": ["1e200"]}, NON_FINITE,
                  id="float-bessel-recurrences"),
-    pytest.param("solution-equivalence", {"mode": "float", "t_samples": ["1e200"]},
+    pytest.param("solution-equivalence", {"mode": "float", "t_samples": ["1e200"]}, NON_FINITE,
                  id="float-solution-equivalence"),
+    # invertible over the rationals, but diag(0, 1) in float64
+    pytest.param("eds-constraints", {"instance": {"operators": {
+        "L": [[0, 1], [0, 0]], "M0": [[1, 0], [0, 1]], "P0": [[1, 0], [0, 1]],
+        "B": [["1e-400", "0"], ["0", "1"]],
+    }}}, "NonFiniteError: singular B in float64", id="float-singular-B"),
 ])
-def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite, doc):
+def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite, doc, detail):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({
         "name": "x", "instance": {"catalog": "diag2"}, "suites": [suite], **doc,
@@ -415,7 +440,7 @@ def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite, doc)
     (check,) = json.loads(out.read_text())["checks"]
     assert check["check_id"] == "numeric-breakdown" and check["suite"] == suite
     assert check["verdict"] == "fail"
-    assert "NonFiniteError: non-finite value" in check["detail"]
+    assert detail in check["detail"]
 
 
 def test_main_rejects_singular_B(tmp_path, capsys):

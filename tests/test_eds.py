@@ -189,6 +189,19 @@ def test_closure_check_finds_all_witnesses():
     assert "degree 1" in degs["dtheta4-membership"]
 
 
+def test_closure_check_without_witness_is_inconclusive():
+    # d theta4 needs multiplier degree 1, so a cap of 0 exhausts its ladder
+    rep = closure_check(cap=0)
+    by_id = {r.check_id: r for r in rep.records}
+    for i in (1, 2, 3):
+        r = by_id[f"dtheta{i}-membership"]
+        assert r.verdict == "pass" and r.detail == "witness verified at multiplier degree 0"
+    r4 = by_id["dtheta4-membership"]
+    assert r4.verdict == "info" and r4.residual == 4.0
+    assert r4.detail == "inconclusive: no witness up to degree 0"
+    assert rep.all_passed()
+
+
 # -- ideal membership solver ------------------------------------------------------
 
 

@@ -12,13 +12,11 @@ from heavenlab.besselop import bessel_series, series_eval
 from heavenlab.eds import constraint_residuals
 from heavenlab.opcore import EXACT, FLOAT, Operator, commutator, frobenius
 from heavenlab.prolong import (
-    HeavenlyVariable,
     ProlongationInstance,
     catalog_instance,
     catalog_names,
     compatibility_check,
     eval_at_u,
-    hfg_at,
     initial_condition_check,
     ode_residual,
     prolongation_residual,
@@ -261,14 +259,8 @@ def test_prolongation_fd_convergence_order():
     sol = solution_cal_form(inst, D)
     u = -0.5
 
-    def p_at(uu: float) -> Operator:
-        hv = HeavenlyVariable.from_u(uu)
-        val, _ = series_eval(sol.p, hv.t)
-        return val
-
-    hv0 = HeavenlyVariable.from_u(u)
-    pt, _ = series_eval(sol.p.derivative(), hv0.t)
-    exact_pu = pt.scale(hv0.half_t)
+    p_at = lambda uu: eval_at_u(inst, sol, uu).P
+    exact_pu = eval_at_u(inst, sol, u).Pu
     errs = []
     for h in (0.05, 0.025):
         fd = (p_at(u + h) - p_at(u - h)).scale(1.0 / (2 * h))
@@ -290,18 +282,19 @@ def test_initial_conditions_all_catalog():
 
 
 def test_heavenly_variable_construction():
-    hv = HeavenlyVariable.from_u(0.0)
-    assert hv.t == 2.0 and hv.exp_u == 1.0
-    hv2 = HeavenlyVariable.from_u(-2.0)
-    assert abs(hv2.t - 2 * math.exp(-1.0)) < 1e-16
+    fi = catalog_instance("diag2").to_float()
+    sol = solution_cal_form(fi, 8)
+    at = eval_at_u(fi, sol, 0.0)
+    assert at.u == 0.0 and at.t == 2.0 and at.exp_u == 1.0
+    at2 = eval_at_u(fi, sol, -2.0)
+    assert abs(at2.t - 2 * math.exp(-1.0)) < 1e-16
     # float contract: exp_u is the exact square of the stored half-t
-    assert hv2.exp_u == hv2.half_t * hv2.half_t
+    assert at2.exp_u == at2.half_t * at2.half_t
 
 
 def test_build_HFG_heisenberg_at_zero():
     fi = catalog_instance("heisenberg3").to_float()
-    hv, P, M = eval_at_u(fi, solution_cal_form(fi, 12), 0.0)[:3]
-    H, F, G = hfg_at(fi, hv, P, M, 0.0, 0.0, 1.0)
+    H, F, G = eval_at_u(fi, solution_cal_form(fi, 12), 0.0).hfg(fi, 0.0, 0.0, 1.0)
     # H = e^u u_z L + P(2) = e12 + e13 (P(2) = (4/4) e13)
     assert H == (Operator.unit(3, 0, 1, mode=FLOAT) + Operator.unit(3, 0, 2, mode=FLOAT))
     assert F == Operator.zero(3, FLOAT)
