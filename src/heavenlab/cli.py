@@ -474,7 +474,14 @@ def _cmd_verify(args) -> int:
         if out_fh is None:
             print(out)
         else:
-            out_fh.write(out)  # both renderings end with a newline
+            # a full disk shows only here, when the buffered report is
+            # written or flushed on close; a failed close still closes
+            try:
+                out_fh.write(out)  # both renderings end with a newline
+                out_fh.close()
+            except OSError as e:
+                print(f"error: cannot write report: {e}", file=sys.stderr)
+                return 2
     return 0 if report.all_passed() else 1
 
 

@@ -7,6 +7,11 @@ is the wedge product.  Everything symbolic here is exact: wedge, exterior
 derivative, pullback along a jet section, and ideal membership with verified
 multiplier witnesses.
 
+A coefficient c is a Python int where it is integral and a
+fractions.Fraction only where it is not; never a float.  The ideal's
+coefficients are +-1 and +-2, so closure and pullback run on int arithmetic,
+and a Fraction appears only where a section or a solve brings one in.
+
 Bracket sign convention (fixed in this one place): for linear pseudopotential
 fields with component matrices G, H acting on xi, the bracket entering the
 structure equation is realized as the matrix commutator GH - HG.  That is the
@@ -20,23 +25,46 @@ catalog fixture then satisfies every residual identically.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .opcore import EPS, FLOAT, NonFiniteError, Operator, commutator, frobenius
+from .opcore import EPS, FLOAT, NonFiniteError, Operator, _check_finite, commutator, frobenius
 from .prolong import ProlongationInstance, eval_at_u, solution_cal_form
 from .report import VerificationReport, info_record, make_record
 
 Monomial = tuple[tuple[int, int], ...]  # ascending (coordinate index, exponent)
 Wedge = tuple[int, ...]  # ascending coordinate indices
 TermKey = tuple[Wedge, Monomial, int]  # (wedge, monomial, exponential power s)
+Coeff = Union[int, Fraction]  # an int where integral, else a Fraction
+
+
+def _coeff(c) -> Coeff:
+    """c as a coefficient: an int where it is integral, else a Fraction.
+
+    Takes anything Fraction() takes; a float is converted exactly.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when b divides a, else a Fraction; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
 
 
 class Ring:
@@ -69,7 +97,7 @@ class Ring:
         return DifferentialForm(self, 0, {})
 
     def const(self, c) -> "DifferentialForm":
-        return DifferentialForm(self, 0, {((), (), 0): Fraction(c)})
+        return DifferentialForm(self, 0, {((), (), 0): c})
 
     def one(self) -> "DifferentialForm":
         return self.const(1)
@@ -80,14 +108,14 @@ class Ring:
 
     def exp(self, s: int = 1) -> "DifferentialForm":
         """e^{s * exponent}."""
-        return DifferentialForm(self, 0, {((), (), int(s)): Fraction(1)})
+        return DifferentialForm(self, 0, {((), (), int(s)): 1})
 
     def monomial(self, powers: dict[str, int], s: int = 0, c=1) -> "DifferentialForm":
         mono = tuple(sorted((self.index(v), e) for v, e in powers.items() if e))
         for _i, e in mono:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        return DifferentialForm(self, 0, {((), mono, int(s)): Fraction(c)})
+        return DifferentialForm(self, 0, {((), mono, int(s)): c})
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -124,32 +152,52 @@ def _merge_wedge(wa: Wedge, wb: Wedge) -> tuple[int, Wedge]:
     return sign, tuple(out)
 
 
-def _add_term(out: dict[TermKey, Fraction], key: TermKey, v: Fraction) -> None:
+def _add_term(out: dict[TermKey, Coeff], key: TermKey, v: Coeff) -> None:
+    """Add the nonzero coefficient v at key; a sum that cancels is removed."""
     x = out.get(key)
-    out[key] = v if x is None else x + v
+    if x is None:
+        out[key] = v
+    else:
+        x = _coeff(x + v)
+        if x:
+            out[key] = x
+        else:
+            del out[key]
 
 
 class DifferentialForm:
     """Exact differential form of homogeneous degree.
 
-    terms maps (wedge, monomial, s) to the rational c of the term
-    c * monomial * e^{s*exponent} * d(wedge).  A 0-form is a ring element,
-    and * is the wedge product.
+    terms maps (wedge, monomial, s) to the nonzero coefficient c of the term
+    c * monomial * e^{s*exponent} * d(wedge): an int where c is integral, a
+    Fraction where it is not.  A 0-form is a ring element, and * is the
+    wedge product.
     """
 
     __slots__ = ("ring", "degree", "terms")
 
-    def __init__(self, ring: Ring, degree: int, terms: dict[TermKey, Fraction]):
-        self.ring = ring
-        self.degree = degree
+    def __init__(self, ring: Ring, degree: int, terms: dict):
         for w, _m, _s in terms:
             if len(w) != degree:
                 raise ValueError(f"wedge {w} has wrong length for degree {degree}")
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.ring = ring
+        self.degree = degree
+        self.terms = {k: _coeff(v) for k, v in terms.items() if v}
+
+    @classmethod
+    def _result(cls, ring: Ring, degree: int, terms: dict[TermKey, Coeff]) -> "DifferentialForm":
+        """A result of form arithmetic, taken as it is: its wedges have length
+        `degree` and its coefficients are nonzero ints or Fractions by
+        construction, so none of that is checked again."""
+        form = object.__new__(cls)
+        form.ring = ring
+        form.degree = degree
+        form.terms = terms
+        return form
 
     @classmethod
     def zero(cls, ring: Ring, degree: int) -> "DifferentialForm":
-        return cls(ring, degree, {})
+        return cls._result(ring, degree, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -177,30 +225,36 @@ class DifferentialForm:
         out = dict(self.terms)
         for k, v in other.terms.items():
             _add_term(out, k, v)
-        return DifferentialForm(self.ring, self.degree, out)
+        return DifferentialForm._result(self.ring, self.degree, out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + -other
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(self.ring, self.degree, {k: -v for k, v in self.terms.items()})
+        return DifferentialForm._result(
+            self.ring, self.degree, {k: -v for k, v in self.terms.items()}
+        )
 
     def scale(self, c) -> "DifferentialForm":
-        c = Fraction(c)
-        return DifferentialForm(self.ring, self.degree, {k: c * v for k, v in self.terms.items()})
+        c = _coeff(c)
+        if not c:
+            return DifferentialForm.zero(self.ring, self.degree)
+        return DifferentialForm._result(
+            self.ring, self.degree, {k: _coeff(c * v) for k, v in self.terms.items()}
+        )
 
     def __mul__(self, other: "DifferentialForm") -> "DifferentialForm":
         """Wedge product; for 0-forms, the ring product."""
         if self.ring is not other.ring:
             raise ValueError("forms from different rings")
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coeff] = {}
         for (wa, ma, sa), ca in self.terms.items():
             for (wb, mb, sb), cb in other.terms.items():
                 sign, w = _merge_wedge(wa, wb)
                 if sign:
-                    v = ca * cb
+                    v = _coeff(ca * cb)
                     _add_term(out, (w, _mono_mul(ma, mb), sa + sb), v if sign > 0 else -v)
-        return DifferentialForm(self.ring, self.degree + other.degree, out)
+        return DifferentialForm._result(self.ring, self.degree + other.degree, out)
 
     def power(self, e: int) -> "DifferentialForm":
         if e < 0:
@@ -215,20 +269,20 @@ class DifferentialForm:
         ring = self.ring
         i = ring.index(v)
         dexp = ring.exp_derivs.get(v)
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coeff] = {}
         for (w, mono, s), c in self.terms.items():
             for pos, (j, e) in enumerate(mono):
                 if j == i:
                     lowered = ((j, e - 1),) if e > 1 else ()
-                    _add_term(out, (w, mono[:pos] + lowered + mono[pos + 1 :], s), c * e)
+                    _add_term(out, (w, mono[:pos] + lowered + mono[pos + 1 :], s), _coeff(c * e))
                     break
             if s and dexp is not None:
                 for (_w, m2, s2), c2 in dexp.terms.items():
-                    _add_term(out, (w, _mono_mul(mono, m2), s + s2), c * s * c2)
-        return DifferentialForm(ring, self.degree, out)
+                    _add_term(out, (w, _mono_mul(mono, m2), s + s2), _coeff(c * s * c2))
+        return DifferentialForm._result(ring, self.degree, out)
 
-    def l1(self) -> Fraction:
-        return sum((abs(v) for v in self.terms.values()), Fraction(0))
+    def l1(self) -> Coeff:
+        return _coeff(sum(abs(v) for v in self.terms.values()))
 
     def variables(self) -> set[str]:
         return {self.ring.coords[i] for _w, mono, _s in self.terms for i, _e in mono}
@@ -248,7 +302,7 @@ class DifferentialForm:
             parts.append(cs)
         return " + ".join(parts) or "0"
 
-    def _term_str(self, mono: Monomial, s: int, c: Fraction) -> str:
+    def _term_str(self, mono: Monomial, s: int, c: Coeff) -> str:
         bits = []
         if c != 1 or (not mono and not s):
             bits.append(str(c))
@@ -274,7 +328,7 @@ BASE_RING.exp_derivs = {"u": BASE_RING.one()}
 
 def one_form(ring: Ring, var: str, coeff: Optional[DifferentialForm] = None) -> DifferentialForm:
     """coeff * d(var)."""
-    dv = DifferentialForm(ring, 1, {((ring.index(var),), (), 0): Fraction(1)})
+    dv = DifferentialForm(ring, 1, {((ring.index(var),), (), 0): 1})
     return dv if coeff is None else coeff * dv
 
 
@@ -302,8 +356,10 @@ def ext_d(a: DifferentialForm) -> DifferentialForm:
 # -- the exterior ideal ------------------------------------------------------
 
 
+@functools.cache
 def base_ideal() -> tuple[DifferentialForm, ...]:
-    """The four generators:
+    """The four generators, built on the first call and shared after it (no
+    form is ever changed in place):
 
         theta1 = du^dx^dy - r dx^dy^dz
         theta2 = du^dy^dz - p dx^dy^dz
@@ -405,7 +461,7 @@ def random_section(rng: random.Random, degree: int = 3) -> Section:
     return Section(spec)
 
 
-def _float_residual(x: Fraction) -> float:
+def _float_residual(x: Coeff) -> float:
     """float(x), but at least the smallest subnormal when x is nonzero.
 
     A residual judged against bound 0 must not round to a pass.
@@ -465,16 +521,18 @@ def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Mon
     return out
 
 
-def _solve_exact(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction]
-) -> Optional[dict[int, Fraction]]:
+def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dict[int, Coeff]]:
     """Sparse exact elimination; one solution with free unknowns = 0, or None.
 
     A pivot row p with pivot a clears b from row r as r <- r - (b/a) p.  A
     column -> rows index finds the rows a pivot touches, and a heap of
     (length, row) picks the next pivot row.  Deterministic: the sparsest row
     wins, ties go to the lower row index, and within a row the smallest
-    unknown index is the pivot.
+    unknown index is the pivot.  Entries are held as coefficients (an int
+    where integral, else a Fraction) and every division goes through
+    `_quotient`, so an integer system is solved in int arithmetic, no float
+    can enter, and the pivots, being chosen from lengths and indices only,
+    are those of a Fraction solve.
     """
     work = [({k: x for k, x in row.items() if x}, v) for row, v in zip(rows, rhs)]
     col_rows: dict[int, set[int]] = {}
@@ -484,7 +542,7 @@ def _solve_exact(
     heap = [(len(row), ridx) for ridx, (row, _) in enumerate(work) if row]
     heapq.heapify(heap)
     active = [True] * len(work)
-    order: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    order: list[tuple[int, dict[int, Coeff], Coeff]] = []
     while heap:
         length, best = heapq.heappop(heap)
         row, val = work[best]
@@ -497,28 +555,28 @@ def _solve_exact(
             col_rows[k].discard(best)
         for ridx in col_rows.pop(piv):
             r2, v2 = work[ridx]
-            f = r2.pop(piv) / a
+            f = _quotient(r2.pop(piv), a)
             for k, x in row.items():
                 if k == piv:
                     continue
-                nx = r2.get(k, 0) - f * x
+                nx = _coeff(r2.get(k, 0) - f * x)
                 if nx:
                     r2[k] = nx
                     col_rows.setdefault(k, set()).add(ridx)
                 elif k in r2:
                     del r2[k]
                     col_rows[k].discard(ridx)
-            work[ridx] = (r2, v2 - f * val)
+            work[ridx] = (r2, _coeff(v2 - f * val))
             if r2:
                 heapq.heappush(heap, (len(r2), ridx))
         order.append((piv, row, val))
     if any(active[ridx] and val for ridx, (_, val) in enumerate(work)):
         return None
-    solution: dict[int, Fraction] = {}
+    solution: dict[int, Coeff] = {}
     for piv, row, val in reversed(order):
         # the pivot itself is not solved yet, so `k in solution` skips it
         acc = val - sum(x * solution[k] for k, x in row.items() if k in solution)
-        solution[piv] = acc / row[piv]
+        solution[piv] = _quotient(acc, row[piv])
     return solution
 
 
@@ -574,7 +632,7 @@ def _membership_attempt(
     s_values = (-1, 0, 1)
     basis: list[tuple[int, Wedge, Monomial, int]] = []
     row_keys: dict[TermKey, int] = {}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Coeff]] = []
 
     def row_index(key: TermKey) -> int:
         idx = row_keys.setdefault(key, len(rows))
@@ -585,7 +643,7 @@ def _membership_attempt(
     for j, g in enumerate(gens):
         gap = target.degree - g.degree
         for dw in [(i,) for i in range(len(ring.coords))] if gap else [()]:
-            prod = DifferentialForm(ring, gap, {(dw, (), 0): Fraction(1)}) * g
+            prod = DifferentialForm(ring, gap, {(dw, (), 0): 1}) * g
             if prod.is_zero():
                 continue
             for mono in monos:
@@ -598,11 +656,11 @@ def _membership_attempt(
                     for w, m, sm, val in shifted:
                         rows[row_index((w, m, s + sm))][ci] = val
     rhs_map = {row_index(key): val for key, val in target.terms.items()}
-    rhs = [rhs_map.get(i, Fraction(0)) for i in range(len(rows))]
+    rhs = [rhs_map.get(i, 0) for i in range(len(rows))]
     sol = _solve_exact(rows, rhs)
     if sol is None:
         return None
-    sigma_terms: list[dict[TermKey, Fraction]] = [{} for _ in gens]
+    sigma_terms: list[dict[TermKey, Coeff]] = [{} for _ in gens]
     for ci, (j, dw, mono, s) in enumerate(basis):
         if sol.get(ci):
             sigma_terms[j][(dw, mono, s)] = sol[ci]
@@ -660,8 +718,41 @@ def closure_check(cap: int = 3) -> VerificationReport:
 
 # -- the constraint system of the prolongation ansatz -----------------------
 
-# the slopes u_x, u_y, u_z at which the structure equation is sampled
+# the slopes u_x, u_y, u_z at which the structure equation is sampled, and
+# their triples in the order of three nested loops over them, u_z innermost
 _SLOPES = (-1.0, 0.0, 1.0)
+_GRID = tuple(itertools.product(_SLOPES, repeat=3))
+_UX, _UY, _UZ = (np.array(c).reshape(-1, 1, 1) for c in zip(*_GRID))
+# the grid rows at slopes 0, e_x, e_y and e_z
+_ORIGIN = _GRID.index((0.0, 0.0, 0.0))
+_UNITS = [_GRID.index(e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+# the checks on the slope derivatives, in the order constraint_residuals
+# stacks their matrices
+_FD_CHECKS = (
+    "coupled-H",
+    "coupled-F",
+    "vanishing-H_ux",
+    "vanishing-H_uy",
+    "vanishing-F_ux",
+    "vanishing-F_uz",
+    "vanishing-G_uy",
+    "vanishing-G_uz",
+)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    _check_finite(arr)
+    return arr
+
+
+def _norms(stack: np.ndarray) -> list[float]:
+    """The Frobenius norm of each float64 matrix of a stack.
+
+    Each matrix's squares are summed in the order `frobenius` sums them, and
+    the root is correctly rounded in both, so the norms agree bit for bit.
+    """
+    sq = np.add.reduce((stack * stack).reshape(len(stack), -1), axis=1)
+    return np.sqrt(sq).tolist()
 
 
 def constraint_residuals(
@@ -676,11 +767,22 @@ def constraint_residuals(
     d/du = (t/2) d/dt on the cal-form series.  Each constraint reports the
     worst (residual - bound) sample.  The two spectral residuals are open:
     reported informationally, never gating.
+
+    At each u the 27 slope triples of _GRID are one axis of a stack: H, F,
+    G, H_u, the finite differences, and the linear parts of the structure
+    equation and of both spectral residuals are each one numpy expression
+    over that axis, and every norm is one row-wise reduction.  Elementwise
+    + - * round each entry as the per-slope Operator arithmetic did, so
+    every residual is the same float.  An inf or nan stays non-finite under
+    + - *, so one finiteness check of each array that becomes an Operator
+    or a norm raises wherever a per-operation check would have.  The 8
+    matrix products of a slope stay one `Operator.__matmul__` (one np.dot)
+    each: a batched np.matmul need not round as np.dot does, and it would
+    change the float-matmul count that perfbench pins.
     """
     fi = inst.to_float()
-    n = fi.dim
-    L = fi.L
-    nL = frobenius(L)
+    L = fi.L.data
+    nL = frobenius(fi.L)
     worst: dict[str, tuple[float, float, str]] = {}
 
     def record_sample(cid: str, residual: float, bound: float, where: str) -> None:
@@ -703,55 +805,49 @@ def constraint_residuals(
         rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
             1.0, frobenius(at.P) + frobenius(at.M) + frobenius(fi.N) + 1.0
         ) * max(1.0, at.t) ** D
-        # slope-derivative structure (exact FD; the dependence is linear)
-        H0, F0, G0 = at.hfg(fi, 0.0, 0.0, 0.0)
-        Hx, Fx, Gx = at.hfg(fi, 1.0, 0.0, 0.0)
-        Hy, Fy, Gy = at.hfg(fi, 0.0, 1.0, 0.0)
-        Hz, Fz, Gz = at.hfg(fi, 0.0, 0.0, 1.0)
-        H_ux, H_uy, H_uz = Hx - H0, Hy - H0, Hz - H0
-        F_ux, F_uy, F_uz = Fx - F0, Fy - F0, Fz - F0
-        G_ux, G_uy, G_uz = Gx - G0, Gy - G0, Gz - G0
+        # SolutionAt.hfg at every slope: H = e^u u_z L + P, F = -u_y L + N,
+        # G = u_x L + M
+        Lz = L * (eu * _UZ)
+        H = _finite(Lz + at.P.data)
+        F = _finite(L * -_UY + fi.N.data)
+        G = _finite(L * _UX + at.M.data)
+        # slope derivatives (H_{u_x}, H_{u_y}, H_{u_z}) and likewise for F
+        # and G: exact finite differences, as the dependence is linear
+        dH, dF, dG = (X[_UNITS] - X[_ORIGIN] for X in (H, F, G))
+        fd = _finite(np.array(
+            [dH[2] - dG[0] * eu, dF[1] + dG[0], dH[0], dH[1], dF[0], dF[2], dG[1], dG[2]]
+        ))
+        for cid, residual in zip(_FD_CHECKS, _norms(fd)):
+            record_sample(cid, residual, rough, f"u={u:g}")
 
-        record_sample(
-            "coupled-H",
-            frobenius(H_uz - G_ux.scale(eu)),
-            rough,
-            f"u={u:g}",
-        )
-        record_sample("coupled-F", frobenius(F_uy + G_ux), rough, f"u={u:g}")
-        for cid, mat in (
-            ("vanishing-H_ux", H_ux),
-            ("vanishing-H_uy", H_uy),
-            ("vanishing-F_ux", F_ux),
-            ("vanishing-F_uz", F_uz),
-            ("vanishing-G_uy", G_uy),
-            ("vanishing-G_uz", G_uz),
-        ):
-            record_sample(cid, frobenius(mat), rough, f"u={u:g}")
+        products = []
+        for Hk, Fk, Gk in zip(*(map(Operator._float, X) for X in (H, F, G))):
+            products.append([
+                (Gk @ Hk).data,
+                (Hk @ Gk).data,
+                (Gk @ fi.A).data,
+                (Hk @ fi.B).data,
+                (Fk @ Binv @ Gk).data,
+                (Gk @ Binv @ Fk).data,
+            ])
+        GH, HG, GA, HB, FBG, GBF = (np.array(p) for p in zip(*products))
+        # u_z H_u - u_y F_u + u_x G_u - e^u u_z^2 G_{u_x} + [G, H], where
+        # H_u = e^u u_z L + P_u, G_u = M_u, and F_u = 0 drops out: a zero
+        # term can change only the sign of a zero entry, not a norm
+        Hu = Lz + at.Pu.data
+        struct = _finite(Hu * _UZ + at.Mu.data * _UX - dG[0] * (eu * _UZ * _UZ) + (GH - HG))
+        spec1 = _finite(F - GA - HB)
+        spec2 = _finite(FBG - GBF)
 
         b1, b2, b3 = at.structure_bounds(nL, rough)
-
-        for ux in _SLOPES:
-            for uy in _SLOPES:
-                for uz in _SLOPES:
-                    H, Fm, G = at.hfg(fi, ux, uy, uz)
-                    Hu = L.scale(eu * uz) + at.Pu
-                    Fu = Operator.zero(n, FLOAT)
-                    Gu = at.Mu
-                    struct = (
-                        Hu.scale(uz)
-                        - Fu.scale(uy)
-                        + Gu.scale(ux)
-                        - G_ux.scale(eu * uz * uz)
-                        + commutator(G, H)
-                    )
-                    bound = 10.0 * (abs(uz) * b1 + abs(ux) * b2 + b3) + rough
-                    where = f"u={u:g},slopes=({ux:g},{uy:g},{uz:g})"
-                    record_sample("structure-equation", frobenius(struct), bound, where)
-                    spec1 = Fm - G @ fi.A - H @ fi.B
-                    spec2 = Fm @ Binv @ G - G @ Binv @ Fm
-                    record_sample("spectral-linear", frobenius(spec1), -1.0, where)
-                    record_sample("spectral-quadratic", frobenius(spec2), -1.0, where)
+        for (ux, uy, uz), r_struct, r_spec1, r_spec2 in zip(
+            _GRID, _norms(struct), _norms(spec1), _norms(spec2)
+        ):
+            bound = 10.0 * (abs(uz) * b1 + abs(ux) * b2 + b3) + rough
+            where = f"u={u:g},slopes=({ux:g},{uy:g},{uz:g})"
+            record_sample("structure-equation", r_struct, bound, where)
+            record_sample("spectral-linear", r_spec1, -1.0, where)
+            record_sample("spectral-quadratic", r_spec2, -1.0, where)
 
     record_sample("AB-commute", frobenius(commutator(fi.A, fi.B)), 64 * EPS * max(
         1.0, frobenius(fi.A) * frobenius(fi.B)

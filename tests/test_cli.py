@@ -1,5 +1,6 @@
 """Scenario parsing, suite dispatch, exit codes, report determinism."""
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -323,6 +324,16 @@ def test_main_out_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["name"] == "heis"
     assert doc["scenario"]["seed"] == 7
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_main_report_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(HEIS, suites=["initial-conditions"])))
+    assert main(["verify", str(path), "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
 
 
 def test_main_catalog_list_and_show(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heavenlab import eds
@@ -24,8 +25,16 @@ from heavenlab.eds import (
     random_section,
     wedge,
 )
-from heavenlab.opcore import Operator
-from heavenlab.prolong import catalog_instance
+from heavenlab.opcore import EPS, FLOAT, NonFiniteError, Operator, commutator, frobenius
+from heavenlab.prolong import (
+    ProlongationInstance,
+    catalog_instance,
+    catalog_names,
+    eval_at_u,
+    solution_cal_form,
+)
+
+from _helpers import random_rational_operator
 
 R = BASE_RING
 
@@ -205,6 +214,72 @@ def test_closure_check_without_witness_is_inconclusive():
 # -- ideal membership solver ------------------------------------------------------
 
 
+def _assert_coefficients(values) -> None:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_form_coefficients_are_int_or_fraction():
+    rng = random.Random(21)
+    forms = [_random_form(rng, R, d) for d in (0, 1, 1, 2) for _ in range(15)]
+    forms += [R.const(c) for c in (2, Fraction(4, 2), 1.5, "-3/6", 0.25)]
+    forms += list(base_ideal())
+    out = []
+    for a, b in zip(forms, forms[1:]):
+        out += [a * b, ext_d(a), a.diff("u"), a.diff("x"), a.scale(Fraction(2, 3)) * b.scale(3)]
+        if a.degree == b.degree:
+            out += [a + b, a - b, a + b.scale(-1)]
+    sec = Section({"x^2": "1/2", "y*z": 3, "z": "-2/3"})
+    out += [sec.pullback(th) for th in base_ideal()] + [sec.pullback(ext_d(f)) for f in forms]
+    for form in forms + out:
+        _assert_coefficients(form.terms.values())
+    # the ideal is integral, and so are the exterior derivatives of its generators
+    for th in base_ideal():
+        assert all(type(c) is int for c in ext_d(th).terms.values())
+    assert type(R.const(1.5).l1()) is Fraction and R.const(Fraction(4, 2)).l1() == 2
+
+
+def _integer_system(rng: random.Random):
+    """An int system with a solution in the integers, so it stays int."""
+    n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = []
+    for _ in range(n_rows):
+        cols = rng.sample(range(n_cols), rng.randint(0, min(n_cols, 4)))
+        rows.append({c: v for c in cols if (v := rng.choice((-2, -1, 1, 2)))})
+    x = [rng.randint(-2, 2) for _ in range(n_cols)]
+    rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+    if rng.random() < 0.3:
+        rhs = [v + rng.randint(0, 1) for v in rhs]
+    return rows, rhs, n_cols
+
+
+def test_solve_exact_coefficients_int_or_fraction_against_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    solved = {"integer": 0, "rational": 0}
+    for kind, make in (("integer", _integer_system), ("rational", _random_system)):
+        for _ in range(80):
+            rows, rhs, n_cols = make(rng)
+            sol = _solve_exact(rows, rhs)
+            A = sympy.Matrix(
+                [[sympy.Rational(str(row.get(c, 0))) for c in range(n_cols)] for row in rows]
+            )
+            b = sympy.Matrix([sympy.Rational(str(v)) for v in rhs])
+            assert (sol is not None) == (A.rank() == A.row_join(b).rank())
+            if sol is None:
+                continue
+            solved[kind] += 1
+            _assert_coefficients(sol.values())
+            for row, v in zip(rows, rhs):
+                assert sum(x * sol.get(c, 0) for c, x in row.items()) == v
+    assert solved["integer"] > 20 and solved["rational"] > 20
+    # the closure systems are integral: every witness multiplier is an int
+    for th in base_ideal():
+        w = ideal_membership(ext_d(th), base_ideal(), multiplier_degree=1)
+        assert all(type(c) is int for sigma in w.multipliers for c in sigma.terms.values())
+
+
 def test_solve_exact_random_sparse_systems_against_sympy_rank():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261018)
@@ -367,3 +442,122 @@ def test_spectral_residuals_reported_as_info():
     rep = constraint_residuals(catalog_instance("heisenberg3"))
     info = {r.check_id for r in rep.records if r.verdict == "info"}
     assert info == {"spectral-linear", "spectral-quadratic"}
+
+
+# the per-slope route of constraint_residuals, one Operator per matrix: the
+# reference that the slope-grid arrays must reproduce bit for bit.  It returns
+# the worst sample of each check, and every residual in the order the grid
+# computes them: per u, the 8 slope-derivative norms, then the
+# structure-equation, spectral-linear and spectral-quadratic norms at the 27
+# slopes
+def _per_slope_constraints(inst, u_samples, D=16):
+    fi = inst.to_float()
+    L, nL = fi.L, frobenius(fi.L)
+    worst, samples = {}, []
+
+    def record_sample(cid, residual, bound, where):
+        prev = worst.get(cid)
+        if prev is None or residual - bound > prev[0] - prev[1]:
+            worst[cid] = (residual, bound, where)
+
+    Binv = Operator(np.ascontiguousarray(np.linalg.inv(fi.B.data)), FLOAT)
+    sol = solution_cal_form(fi, D)
+    for u in u_samples:
+        at = eval_at_u(fi, sol, u)
+        eu = at.exp_u
+        rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
+            1.0, frobenius(at.P) + frobenius(at.M) + frobenius(fi.N) + 1.0
+        ) * max(1.0, at.t) ** D
+        H0, F0, G0 = at.hfg(fi, 0.0, 0.0, 0.0)
+        Hx, Fx, Gx = at.hfg(fi, 1.0, 0.0, 0.0)
+        Hy, Fy, Gy = at.hfg(fi, 0.0, 1.0, 0.0)
+        Hz, Fz, Gz = at.hfg(fi, 0.0, 0.0, 1.0)
+        H_ux, H_uy, H_uz = Hx - H0, Hy - H0, Hz - H0
+        F_ux, F_uy, F_uz = Fx - F0, Fy - F0, Fz - F0
+        G_ux, G_uy, G_uz = Gx - G0, Gy - G0, Gz - G0
+        fd, grid = [], ([], [], [])
+        samples += [fd, *grid]
+        for cid, mat in (("coupled-H", H_uz - G_ux.scale(eu)), ("coupled-F", F_uy + G_ux),
+                         ("vanishing-H_ux", H_ux), ("vanishing-H_uy", H_uy),
+                         ("vanishing-F_ux", F_ux), ("vanishing-F_uz", F_uz),
+                         ("vanishing-G_uy", G_uy), ("vanishing-G_uz", G_uz)):
+            fd.append(frobenius(mat))
+            record_sample(cid, fd[-1], rough, f"u={u:g}")
+        b1, b2, b3 = at.structure_bounds(nL, rough)
+        for ux in (-1.0, 0.0, 1.0):
+            for uy in (-1.0, 0.0, 1.0):
+                for uz in (-1.0, 0.0, 1.0):
+                    H, Fm, G = at.hfg(fi, ux, uy, uz)
+                    Hu = L.scale(eu * uz) + at.Pu
+                    Fu = Operator.zero(fi.dim, FLOAT)
+                    struct = (Hu.scale(uz) - Fu.scale(uy) + at.Mu.scale(ux)
+                              - G_ux.scale(eu * uz * uz) + commutator(G, H))
+                    bound = 10.0 * (abs(uz) * b1 + abs(ux) * b2 + b3) + rough
+                    where = f"u={u:g},slopes=({ux:g},{uy:g},{uz:g})"
+                    spec1 = Fm - G @ fi.A - H @ fi.B
+                    spec2 = Fm @ Binv @ G - G @ Binv @ Fm
+                    for cid, mat, b, out in (("structure-equation", struct, bound, grid[0]),
+                                             ("spectral-linear", spec1, -1.0, grid[1]),
+                                             ("spectral-quadratic", spec2, -1.0, grid[2])):
+                        out.append(frobenius(mat))
+                        record_sample(cid, out[-1], b, where)
+    record_sample("AB-commute", frobenius(commutator(fi.A, fi.B)), 64 * EPS * max(
+        1.0, frobenius(fi.A) * frobenius(fi.B)), "initial data")
+    return worst, samples
+
+
+def _outcome(fn):
+    """What a run gives: its value, or the type and message it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn()
+    except (NonFiniteError, OverflowError) as e:
+        return (type(e), str(e))
+
+
+def _assert_same_as_per_slope(monkeypatch, inst, u_samples):
+    seen = []
+    norms = eds._norms
+    monkeypatch.setattr(eds, "_norms", lambda stack: seen.append(norms(stack)) or seen[-1])
+    want = _outcome(lambda: _per_slope_constraints(inst, u_samples))
+    got = _outcome(lambda: constraint_residuals(inst, u_samples))
+    if not isinstance(got, eds.VerificationReport):
+        assert got == want, (inst.name, u_samples)
+        return
+    want, samples = want
+    hexes = lambda runs: [[float(x).hex() for x in run] for run in runs]
+    assert hexes(seen) == hexes(samples), (inst.name, u_samples)
+    assert {r.check_id for r in got.records} == set(want)
+    for r in got.records:
+        residual, bound, where = want[r.check_id]
+        assert r.residual.hex() == float(residual).hex(), (inst.name, r.check_id)
+        assert r.detail == where, (inst.name, r.check_id)
+        if r.verdict != "info":
+            assert r.bound.hex() == float(bound).hex(), (inst.name, r.check_id)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_constraint_grid_equals_per_slope_route_on_catalog(monkeypatch, name):
+    inst = catalog_instance(name)
+    for mode_inst in (inst, inst.to_float()):
+        _assert_same_as_per_slope(monkeypatch, mode_inst, (-2.0, -1.0, 0.0))
+        _assert_same_as_per_slope(monkeypatch, mode_inst, (-0.5, 0.75, 1.5))
+    # near and past the float range: the same values, or the same breakdown
+    for u in (60.0, 75.0, 80.0, 90.0, 100.0, 800.0):
+        _assert_same_as_per_slope(monkeypatch, inst, (u,))
+
+
+def test_constraint_grid_equals_per_slope_route_on_random_instances(monkeypatch):
+    rng = random.Random(1913)
+    tried = 0
+    while tried < 12:
+        n = rng.choice((2, 3, 4))
+        L, M0, N, A, B = (random_rational_operator(rng, n) for _ in range(5))
+        if abs(np.linalg.det(B.to_float().data)) < 1e-3:
+            continue
+        tried += 1
+        # P0 = M0 meets the coupling precondition [L, P0] = [L, M0]
+        inst = ProlongationInstance(f"random{tried}", L, M0, M0, N, A, B)
+        u_samples = tuple(rng.uniform(-3.0, 2.0) for _ in range(3))
+        _assert_same_as_per_slope(monkeypatch, inst, u_samples)
+
