@@ -45,8 +45,10 @@ from .opcore import (
     DimensionMismatchError,
     ModeMismatchError,
     Operator,
-    _check_finite,
+    check_finite,
     frobenius,
+    frobenius_stack,
+    mode_scalar,
     operator_exp,
     powers as operator_powers,
 )
@@ -112,8 +114,7 @@ class OperatorSeries:
     @classmethod
     def _checked(cls, arr: np.ndarray) -> "OperatorSeries":
         """A float series over `arr`: refused if any entry is inf or nan."""
-        _check_finite(arr)
-        return cls._frozen(arr)
+        return cls._frozen(check_finite(arr))
 
     @property
     def coeffs(self) -> tuple[Operator, ...]:
@@ -203,15 +204,11 @@ class OperatorSeries:
         hi = self.degree if through is None else min(through, self.degree)
         if self._arr is None:
             return max(frobenius(c) for c in self.coeffs[: hi + 1])
-        x = self._arr[: hi + 1]
-        sq = x * x if x.dtype == np.float64 else abs(x) ** 2
-        # each coefficient's squares summed in the order `frobenius` sums them;
-        # the root is monotone, so the root of the largest sum is the largest norm
-        return math.sqrt(np.add.reduce(sq.reshape(hi + 1, -1), axis=1).max())
+        return max(frobenius_stack(self._arr[: hi + 1]))
 
 
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
-    """The series at t (Fraction in exact mode, float otherwise), and its tail.
+    """The series at t, taken in the series' mode by `mode_scalar`, and its tail.
 
     Exact mode sums c_j t^j over the nonzero coefficients only.  Exact
     arithmetic makes this equal to Horner's rule, and an exact Operator is
@@ -221,17 +218,14 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     or nan stays non-finite under * and +, so one finiteness check of the
     result catches an overflow at any step.
     """
+    t = mode_scalar(t, s.mode)
     if s.mode == EXACT:
-        if not isinstance(t, (int, Fraction)):
-            t = Fraction(t)
         acc = s.coeffs[0]
         for j in range(1, s.degree + 1):
             c = s.coeffs[j]
             if not c.is_zero():
                 acc = acc + c.scale(t**j)
     else:
-        if isinstance(t, Fraction):
-            t = float(t)
         arr = s._arr
         acc = arr[-1]
         for j in range(s.degree - 1, -1, -1):
@@ -364,8 +358,7 @@ def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:
     """
     mode = X_powers[0].mode
     acc = Operator.zero(X_powers[0].dim, mode)
-    if mode == EXACT and not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
+    t = mode_scalar(t, mode)
     for deg, q in bessel_terms(m, len(X_powers) - 1):
         acc = acc + X_powers[deg].scale(q * t**deg)
     return acc
@@ -511,13 +504,12 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
     sums, since the roundoff of that route is what its bound covers.  Both
     modes add up the same tails in the same order.
     """
+    t = mode_scalar(t, X.mode)
     t_abs = abs(float(t))
     r = t_abs * frobenius(X) / 2.0
     tail_sum = 0.0
     powers = operator_powers(X, D)
     if X.mode == EXACT:
-        if not isinstance(t, (int, Fraction)):
-            t = Fraction(t)
         s = [Fraction(-1)] + [Fraction(0)] * D
         for m_idx in range(-K, K + 1):
             for deg, q in bessel_terms(m_idx, D):
@@ -537,3 +529,22 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
     bound = bilateral_tail(r, K) + tail_sum
     bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
     return resid, bound
+
+
+def sum_rule_check(X: Operator, t_samples, K: int, D: int) -> VerificationReport:
+    """The sum rule of `sum_rule_residual` at each t of `t_samples`, one
+    record per t, in the mode of X."""
+    records = []
+    for t in t_samples:
+        resid, bound = sum_rule_residual(X, t, K, D)
+        records.append(
+            make_record(
+                f"sum-rule[t={t}]",
+                "bessel-recurrences",
+                "sum_{|m|<=K} J_m(tL) = 1",
+                resid,
+                bound,
+                detail=f"K={K} D={D}",
+            )
+        )
+    return VerificationReport(name="sum-rule", records=tuple(records))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besselop import RELATIONS, check_recurrence, sum_rule_residual
+from .besselop import RELATIONS, check_recurrence, sum_rule_check
 from .eds import (
     Section,
     check_proposition1,
@@ -35,6 +35,7 @@ from .eds import (
 )
 from .opcore import EXACT, FLOAT, NonFiniteError, Operator, determinant
 from .prolong import (
+    OPERATORS,
     CouplingError,
     ProlongationInstance,
     bch_check,
@@ -43,6 +44,7 @@ from .prolong import (
     compatibility_check,
     equivalence_check,
     initial_condition_check,
+    make_instance,
     ode_check,
     prolongation_residual,
     scalar_check,
@@ -85,38 +87,52 @@ def _fraction(value, what: str) -> Fraction:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
 
 
-def _integer(value, what: str, least: Optional[int] = None) -> int:
-    """A JSON integer, at least `least` when given; an integral float such as
-    16.0 also counts, a bool does not."""
+# Upper limits on the size of a scenario, so that none can ask for hours of
+# exact arithmetic.  An exact verify with one of them at its limit and the
+# rest at their defaults takes seconds (README.md gives the times).
+MAX_DEGREE = 128
+MAX_CUTOFF = 32
+MAX_DIM = 12  # rows and columns of an explicit operator
+MAX_LIST = 32  # entries of t_samples, u_samples, scalar.t_samples and sections
+MAX_TERMS = 64  # terms of one section polynomial
+
+
+def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """A JSON integer in [least, most], each end when given; an integral
+    float such as 16.0 also counts, a bool does not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ScenarioError(f"{what} must be >= {least}")
+    if most is not None and value > most:
+        raise ScenarioError(f"{what} must be <= {most}, got {value}")
     return value
 
 
 def _list(doc: dict, key: str, default: list, what: str) -> list:
-    """doc[key] (or default when absent), which must be a JSON list."""
+    """doc[key] (or default when absent), a JSON list of at most MAX_LIST entries."""
     value = doc.get(key, default)
     if not isinstance(value, list):
         raise ScenarioError(f"{what} must be a list, got {value!r}")
+    if len(value) > MAX_LIST:
+        raise ScenarioError(f"{what} may have at most {MAX_LIST} entries, got {len(value)}")
     return value
 
 
 def _operator(rows, what: str) -> Operator:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ScenarioError(f"{what}: expected a list of rows")
+    n = max(len(rows), *map(len, rows))
+    if n > MAX_DIM:
+        raise ScenarioError(f"{what}: dimension may be at most {MAX_DIM}, got {n}")
     try:
         return Operator.from_rows(
             [[_fraction(x, what) for x in row] for row in rows], EXACT
         )
     except ValueError as e:
         raise ScenarioError(f"{what}: {e}") from e
-
-
-_OPERATORS = ("L", "M0", "P0", "N", "A", "B")
 
 
 def build_instance(spec: dict) -> ProlongationInstance:
@@ -143,23 +159,17 @@ def build_instance(spec: dict) -> ProlongationInstance:
     ops = spec["operators"]
     if not isinstance(ops, dict):
         raise ScenarioError(f"instance.operators must be an object, got {ops!r}")
-    extra = set(ops) - set(_OPERATORS)
+    extra = set(ops) - set(OPERATORS)
     if extra:
         raise ScenarioError(f"unknown instance.operators keys: {sorted(extra)}")
     for required in ("L", "M0", "P0"):
         if required not in ops:
             raise ScenarioError(f"operators: missing {required}")
-    L = _operator(ops["L"], "operators.L")
-    M0 = _operator(ops["M0"], "operators.M0")
-    P0 = _operator(ops["P0"], "operators.P0")
-    n = L.dim
-    N = _operator(ops["N"], "operators.N") if "N" in ops else Operator.zero(n, EXACT)
-    A = _operator(ops["A"], "operators.A") if "A" in ops else Operator.identity(n, EXACT)
-    B = _operator(ops["B"], "operators.B") if "B" in ops else Operator.identity(n, EXACT)
-    if determinant(B) == 0:
+    given = {k: _operator(ops[k], f"operators.{k}") for k in OPERATORS if k in ops}
+    if "B" in given and determinant(given["B"]) == 0:
         raise ScenarioError("operators.B: singular; B must be invertible")
     try:
-        return ProlongationInstance(name=name, L=L, M0=M0, P0=P0, N=N, A=A, B=B)
+        return make_instance(name, **given)
     except ValueError as e:
         raise ScenarioError(f"instance: {e}") from e
 
@@ -183,6 +193,8 @@ def _scalar_args(scalar: Optional[dict], t_samples: tuple) -> tuple:
 def _section(i: int, spec) -> Section:
     if not isinstance(spec, dict):
         raise ScenarioError("sections must be polynomial objects")
+    if len(spec) > MAX_TERMS:
+        raise ScenarioError(f"sections[{i}] may have at most {MAX_TERMS} terms, got {len(spec)}")
     try:
         return Section(spec)
     except (ValueError, KeyError) as e:
@@ -217,8 +229,8 @@ def parse_scenario(
     mode = doc.get("mode", EXACT)
     if mode not in (EXACT, FLOAT):
         raise ScenarioError(f"mode must be 'exact' or 'float', got {mode!r}")
-    degree = _integer(doc.get("degree", 16), "degree", 4)
-    cutoff = _integer(doc.get("cutoff", 8), "cutoff", 1)
+    degree = _integer(doc.get("degree", 16), "degree", 4, MAX_DEGREE)
+    cutoff = _integer(doc.get("cutoff", 8), "cutoff", 1, MAX_CUTOFF)
     closure_cap = _integer(doc.get("closure_cap", 3), "closure_cap", 1)
     t_samples = tuple(
         _fraction(v, "t_samples")
@@ -307,27 +319,10 @@ def _mode_instance(sc: Scenario, inst: ProlongationInstance) -> ProlongationInst
 
 
 def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
-    mi = _mode_instance(sc, inst)
-    k_lo, k_hi = sc.k_range
-    reports = [
-        check_recurrence(rel, mi.L, sc.degree, range(k_lo, k_hi + 1))
-        for rel in RELATIONS
-    ]
-    records = []
-    for t in sc.t_samples:
-        tv = t if sc.mode == EXACT else float(t)
-        resid, bound = sum_rule_residual(mi.L, tv, sc.cutoff, sc.degree)
-        records.append(
-            make_record(
-                f"sum-rule[t={t}]",
-                "bessel-recurrences",
-                "sum_{|m|<=K} J_m(tL) = 1",
-                resid,
-                bound,
-                detail=f"K={sc.cutoff} D={sc.degree}",
-            )
-        )
-    reports.append(VerificationReport(name="sum-rule", records=tuple(records)))
+    L = _mode_instance(sc, inst).L
+    ks = range(sc.k_range[0], sc.k_range[1] + 1)
+    reports = [check_recurrence(rel, L, sc.degree, ks) for rel in RELATIONS]
+    reports.append(sum_rule_check(L, sc.t_samples, sc.cutoff, sc.degree))
     return merge_reports("bessel-recurrences", reports)
 
 
@@ -500,7 +495,7 @@ def _cmd_catalog(args) -> int:
         "name": inst.name,
         "dim": inst.dim,
         "mode": inst.mode,
-        "operators": {k: getattr(inst, k).to_jsonable() for k in _OPERATORS},
+        "operators": {k: getattr(inst, k).to_jsonable() for k in OPERATORS},
         "compatibility": {
             r.check_id: r.verdict for r in compat.sorted().records
         },

@@ -36,7 +36,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .opcore import EPS, FLOAT, NonFiniteError, Operator, _check_finite, commutator, frobenius
+from .opcore import (
+    EPS,
+    FLOAT,
+    NonFiniteError,
+    Operator,
+    check_finite,
+    commutator,
+    frobenius,
+    frobenius_stack,
+)
 from .prolong import ProlongationInstance, eval_at_u, solution_cal_form
 from .report import VerificationReport, info_record, make_record
 
@@ -726,33 +735,23 @@ _UX, _UY, _UZ = (np.array(c).reshape(-1, 1, 1) for c in zip(*_GRID))
 # the grid rows at slopes 0, e_x, e_y and e_z
 _ORIGIN = _GRID.index((0.0, 0.0, 0.0))
 _UNITS = [_GRID.index(e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-# the checks on the slope derivatives, in the order constraint_residuals
-# stacks their matrices
-_FD_CHECKS = (
-    "coupled-H",
-    "coupled-F",
-    "vanishing-H_ux",
-    "vanishing-H_uy",
-    "vanishing-F_ux",
-    "vanishing-F_uz",
-    "vanishing-G_uy",
-    "vanishing-G_uz",
-)
-
-
-def _finite(arr: np.ndarray) -> np.ndarray:
-    _check_finite(arr)
-    return arr
-
-
-def _norms(stack: np.ndarray) -> list[float]:
-    """The Frobenius norm of each float64 matrix of a stack.
-
-    Each matrix's squares are summed in the order `frobenius` sums them, and
-    the root is correctly rounded in both, so the norms agree bit for bit.
-    """
-    sq = np.add.reduce((stack * stack).reshape(len(stack), -1), axis=1)
-    return np.sqrt(sq).tolist()
+# every check of constraint_residuals, id -> equation, in report order; the
+# first 8, the checks on the slope derivatives, are in the order
+# constraint_residuals stacks their matrices
+_CONSTRAINTS = {
+    "coupled-H": "H_{u_z} - e^u G_{u_x} = 0",
+    "coupled-F": "F_{u_y} + G_{u_x} = 0",
+    "vanishing-H_ux": "H_{u_x} = 0",
+    "vanishing-H_uy": "H_{u_y} = 0",
+    "vanishing-F_ux": "F_{u_x} = 0",
+    "vanishing-F_uz": "F_{u_z} = 0",
+    "vanishing-G_uy": "G_{u_y} = 0",
+    "vanishing-G_uz": "G_{u_z} = 0",
+    "structure-equation": "u_z H_u - u_y F_u + u_x G_u - e^u u_z^2 G_{u_x} + [G,H] = 0",
+    "spectral-linear": "F_xi = G_xi A + H_xi B (open)",
+    "spectral-quadratic": "F_xi B^-1 G = G_xi B^-1 F (open)",
+    "AB-commute": "[A, B] = 0",
+}
 
 
 def constraint_residuals(
@@ -768,10 +767,11 @@ def constraint_residuals(
     worst (residual - bound) sample.  The two spectral residuals are open:
     reported informationally, never gating.
 
-    At each u the 27 slope triples of _GRID are one axis of a stack: H, F,
-    G, H_u, the finite differences, and the linear parts of the structure
-    equation and of both spectral residuals are each one numpy expression
-    over that axis, and every norm is one row-wise reduction.  Elementwise
+    At each u the 27 slope triples of _GRID are one axis of a stack: H, F
+    and G are `SolutionAt.hfg` over that axis, H_u, the finite differences,
+    and the linear parts of the structure equation and of both spectral
+    residuals are each one numpy expression over it, and the norms of each
+    stack come from one `frobenius_stack`.  Elementwise
     + - * round each entry as the per-slope Operator arithmetic did, so
     every residual is the same float.  An inf or nan stays non-finite under
     + - *, so one finiteness check of each array that becomes an Operator
@@ -781,7 +781,6 @@ def constraint_residuals(
     change the float-matmul count that perfbench pins.
     """
     fi = inst.to_float()
-    L = fi.L.data
     nL = frobenius(fi.L)
     worst: dict[str, tuple[float, float, str]] = {}
 
@@ -805,19 +804,15 @@ def constraint_residuals(
         rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
             1.0, frobenius(at.P) + frobenius(at.M) + frobenius(fi.N) + 1.0
         ) * max(1.0, at.t) ** D
-        # SolutionAt.hfg at every slope: H = e^u u_z L + P, F = -u_y L + N,
-        # G = u_x L + M
-        Lz = L * (eu * _UZ)
-        H = _finite(Lz + at.P.data)
-        F = _finite(L * -_UY + fi.N.data)
-        G = _finite(L * _UX + at.M.data)
+        H, F, G = at.hfg(fi, _UX, _UY, _UZ)
         # slope derivatives (H_{u_x}, H_{u_y}, H_{u_z}) and likewise for F
         # and G: exact finite differences, as the dependence is linear
         dH, dF, dG = (X[_UNITS] - X[_ORIGIN] for X in (H, F, G))
-        fd = _finite(np.array(
+        fd = check_finite(np.array(
             [dH[2] - dG[0] * eu, dF[1] + dG[0], dH[0], dH[1], dF[0], dF[2], dG[1], dG[2]]
         ))
-        for cid, residual in zip(_FD_CHECKS, _norms(fd)):
+        # zip stops at the 8 norms, the first 8 ids of _CONSTRAINTS
+        for cid, residual in zip(_CONSTRAINTS, frobenius_stack(fd)):
             record_sample(cid, residual, rough, f"u={u:g}")
 
         products = []
@@ -834,14 +829,16 @@ def constraint_residuals(
         # u_z H_u - u_y F_u + u_x G_u - e^u u_z^2 G_{u_x} + [G, H], where
         # H_u = e^u u_z L + P_u, G_u = M_u, and F_u = 0 drops out: a zero
         # term can change only the sign of a zero entry, not a norm
-        Hu = Lz + at.Pu.data
-        struct = _finite(Hu * _UZ + at.Mu.data * _UX - dG[0] * (eu * _UZ * _UZ) + (GH - HG))
-        spec1 = _finite(F - GA - HB)
-        spec2 = _finite(FBG - GBF)
+        Hu = fi.L.data * (eu * _UZ) + at.Pu.data
+        struct = check_finite(
+            Hu * _UZ + at.Mu.data * _UX - dG[0] * (eu * _UZ * _UZ) + (GH - HG)
+        )
+        spec1 = check_finite(F - GA - HB)
+        spec2 = check_finite(FBG - GBF)
 
         b1, b2, b3 = at.structure_bounds(nL, rough)
         for (ux, uy, uz), r_struct, r_spec1, r_spec2 in zip(
-            _GRID, _norms(struct), _norms(spec1), _norms(spec2)
+            _GRID, frobenius_stack(struct), frobenius_stack(spec1), frobenius_stack(spec2)
         ):
             bound = 10.0 * (abs(uz) * b1 + abs(ux) * b2 + b3) + rough
             where = f"u={u:g},slopes=({ux:g},{uy:g},{uz:g})"
@@ -853,22 +850,8 @@ def constraint_residuals(
         1.0, frobenius(fi.A) * frobenius(fi.B)
     ), "initial data")
 
-    equations = {
-        "coupled-H": "H_{u_z} - e^u G_{u_x} = 0",
-        "coupled-F": "F_{u_y} + G_{u_x} = 0",
-        "vanishing-H_ux": "H_{u_x} = 0",
-        "vanishing-H_uy": "H_{u_y} = 0",
-        "vanishing-F_ux": "F_{u_x} = 0",
-        "vanishing-F_uz": "F_{u_z} = 0",
-        "vanishing-G_uy": "G_{u_y} = 0",
-        "vanishing-G_uz": "G_{u_z} = 0",
-        "structure-equation": "u_z H_u - u_y F_u + u_x G_u - e^u u_z^2 G_{u_x} + [G,H] = 0",
-        "spectral-linear": "F_xi = G_xi A + H_xi B (open)",
-        "spectral-quadratic": "F_xi B^-1 G = G_xi B^-1 F (open)",
-        "AB-commute": "[A, B] = 0",
-    }
     records = []
-    for cid, eq in equations.items():
+    for cid, eq in _CONSTRAINTS.items():
         residual, bound, where = worst[cid]
         if cid.startswith("spectral"):
             records.append(

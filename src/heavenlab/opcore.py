@@ -78,11 +78,22 @@ def _exact_entry(x: ScalarLike) -> Fraction:
 EPS = float(np.finfo(np.float64).eps)
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def check_finite(arr: np.ndarray) -> np.ndarray:
+    """`arr`, a float array of any shape, if no entry is inf or nan; else NonFiniteError."""
     # an inf or nan entry makes the sum inf or nan; an overflowing sum of
     # finite entries is settled by the entrywise test
     if not cmath.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NonFiniteError("non-finite value in float-mode operator")
+    return arr
+
+
+def mode_scalar(t, mode: str):
+    """The sample t as a scalar of `mode`: exact mode keeps an int or a
+    Fraction and converts anything else with Fraction(t); float mode takes
+    float(t)."""
+    if mode == EXACT:
+        return t if isinstance(t, (int, Fraction)) else Fraction(t)
+    return float(t)
 
 
 def _over_lcm(entries: Sequence[Fraction], n: int) -> tuple[np.ndarray, int]:
@@ -111,8 +122,7 @@ class Operator:
             self._set_exact(*_over_lcm([_exact_entry(x) for x in data.flat], data.shape[0]))
             return
         dtype = np.complex128 if np.iscomplexobj(data) else np.float64
-        data = np.asarray(data, dtype=dtype)
-        _check_finite(data)
+        data = check_finite(np.asarray(data, dtype=dtype))
         data.setflags(write=False)
         self._arr = data
         self.denominator = None
@@ -162,8 +172,7 @@ class Operator:
     @classmethod
     def _checked(cls, arr: np.ndarray) -> "Operator":
         """A float result: refused if any entry is inf or nan."""
-        _check_finite(arr)
-        return cls._float(arr)
+        return cls._float(check_finite(arr))
 
     # -- constructors ------------------------------------------------------
 
@@ -449,6 +458,16 @@ def _float_frobenius(x: np.ndarray) -> float:
         # x*x is abs(x)**2 bit for bit, and the same reduction sums it
         return math.sqrt(np.add.reduce(x * x, axis=None))
     return float(np.sqrt((abs(x) ** 2).sum()))
+
+
+def frobenius_stack(stack: np.ndarray) -> list[float]:
+    """The Frobenius norm of each matrix of a (k, n, n) float stack.
+
+    Each matrix's squares are summed in the order `frobenius` sums them, and
+    the root is correctly rounded in both, so the norms agree bit for bit.
+    """
+    sq = stack * stack if stack.dtype == np.float64 else abs(stack) ** 2
+    return np.sqrt(np.add.reduce(sq.reshape(len(stack), -1), axis=1)).tolist()
 
 
 def norm_bound(a: Operator) -> NormBound:

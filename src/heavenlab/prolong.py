@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .adjoint import (
     AdjointContext,
@@ -54,14 +56,18 @@ from .opcore import (
     DimensionMismatchError,
     ModeMismatchError,
     Operator,
+    check_finite,
     commutator,
     frobenius,
+    mode_scalar,
     powers,
 )
 from .report import VerificationReport, make_record
 
 __all__ = [
+    "OPERATORS",
     "ProlongationInstance",
+    "make_instance",
     "cal_bessel",
     "CouplingError",
     "CalSolution",
@@ -84,6 +90,10 @@ __all__ = [
 ]
 
 
+# the operators of an instance, in the order of its fields
+OPERATORS = ("L", "M0", "P0", "N", "A", "B")
+
+
 @dataclass(frozen=True)
 class ProlongationInstance:
     """One verification instance: L, initial data, and the auxiliary fields.
@@ -102,9 +112,8 @@ class ProlongationInstance:
     B: Operator
 
     def __post_init__(self) -> None:
-        ops = [self.L, self.M0, self.P0, self.N, self.A, self.B]
         dim, mode = self.L.dim, self.L.mode
-        for op in ops:
+        for op in (getattr(self, k) for k in OPERATORS):
             if op.dim != dim:
                 raise DimensionMismatchError(f"{self.name}: operator dimensions differ")
             if op.mode != mode:
@@ -125,15 +134,16 @@ class ProlongationInstance:
     def to_float(self) -> "ProlongationInstance":
         if self.mode == FLOAT:
             return self
-        return ProlongationInstance(
-            name=self.name,
-            L=self.L.to_float(),
-            M0=self.M0.to_float(),
-            P0=self.P0.to_float(),
-            N=self.N.to_float(),
-            A=self.A.to_float(),
-            B=self.B.to_float(),
-        )
+        return replace(self, **{k: getattr(self, k).to_float() for k in OPERATORS})
+
+
+def make_instance(name: str, L, M0, P0, N=None, A=None, B=None) -> ProlongationInstance:
+    """An exact instance whose N defaults to zero, and A and B to the identity."""
+    n = L.dim
+    N = Operator.zero(n, EXACT) if N is None else N
+    A = Operator.identity(n, EXACT) if A is None else A
+    B = Operator.identity(n, EXACT) if B is None else B
+    return ProlongationInstance(name, L, M0, P0, N, A, B)
 
 
 def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSeries:
@@ -226,8 +236,7 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
     if K < 1:
         raise ValueError("K must be >= 1")
     mode = inst.mode
-    if mode == EXACT and not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
+    t = mode_scalar(t, mode)
     L_powers = powers(inst.L, D)
     J: dict[int, Operator] = {
         k: bessel_eval(L_powers, k, t) for k in range(-K - 1, K + 2)
@@ -369,13 +378,13 @@ def equivalence_check(
     scale = max(1.0, frobenius(inst.M0) + frobenius(inst.P0))
     records = []
     for t in t_samples:
-        tv = t if inst.mode == EXACT else float(t)
+        tv = mode_scalar(t, inst.mode)
         pc, ptb = series_eval(sol.p, tv)
         mc, mtb = series_eval(sol.m, tv)
         lf = solution_L_form(inst, tv, K, D)
         roundoff = 0.0
         if inst.mode == FLOAT:
-            r = float(t) * nL / 2.0
+            r = tv * nL / 2.0
             roundoff = (
                 64.0
                 * EPS
@@ -517,16 +526,20 @@ class SolutionAt:
         b3 = 2 * (nM * p_tail + nP * m_tail + p_tail * m_tail) + rough
         return b1, b2, b3
 
-    def hfg(
-        self, fi: ProlongationInstance, u_x: float, u_y: float, u_z: float
-    ) -> tuple[Operator, Operator, Operator]:
-        """The three 2-form coefficient matrices of the prolongation ansatz:
+    def hfg(self, fi: ProlongationInstance, u_x, u_y, u_z) -> tuple[np.ndarray, ...]:
+        """The three 2-form coefficient matrices of the prolongation ansatz,
 
-            H = e^u u_z L + P(u),  F = -u_y L + N,  G = u_x L + M(u)
+            H = e^u u_z L + P(u),  F = -u_y L + N,  G = u_x L + M(u),
+
+        as float arrays: (n, n) at scalar slopes, and a (k, n, n) stack when
+        the slopes are (k, 1, 1) arrays, one matrix per slope triple.  Each
+        entry has the bits of the Operator arithmetic L.scale(e^u u_z) + P,
+        and likewise for F and G; an inf or nan raises NonFiniteError.
         """
-        H = fi.L.scale(self.exp_u * u_z) + self.P
-        F = fi.L.scale(-u_y) + fi.N
-        G = fi.L.scale(u_x) + self.M
+        L = fi.L.data
+        H = check_finite(L * (self.exp_u * u_z) + self.P.data)
+        F = check_finite(L * -u_y + fi.N.data)
+        G = check_finite(L * u_x + self.M.data)
         return H, F, G
 
 
@@ -700,39 +713,27 @@ def scalar_check(omega, p0, m0, t_samples, D: int) -> VerificationReport:
 # -- fixture catalog ---------------------------------------------------------
 
 
-def _instance(name, L, M0, P0, n) -> ProlongationInstance:
-    return ProlongationInstance(
-        name=name,
-        L=L,
-        M0=M0,
-        P0=P0,
-        N=Operator.zero(n, EXACT),
-        A=Operator.identity(n, EXACT),
-        B=Operator.identity(n, EXACT),
-    )
-
-
 def _heisenberg3() -> ProlongationInstance:
     L = Operator.unit(3, 0, 1)
     M0 = Operator.unit(3, 1, 2)
-    return _instance("heisenberg3", L, M0, M0, 3)
+    return make_instance("heisenberg3", L, M0, M0)
 
 
 def _diag2() -> ProlongationInstance:
     L = Operator.diag([1, -1])
     M0 = Operator.unit(2, 0, 1)
-    return _instance("diag2", L, M0, M0, 2)
+    return make_instance("diag2", L, M0, M0)
 
 
 def _commuting2() -> ProlongationInstance:
     L = Operator.unit(2, 0, 1)
-    return _instance("commuting2", L, L, L, 2)
+    return make_instance("commuting2", L, L, L)
 
 
 def _expected_fail2() -> ProlongationInstance:
     L = Operator.unit(2, 0, 1)
     M0 = Operator.unit(2, 1, 0)
-    return _instance("expected-fail2", L, M0, M0, 2)
+    return make_instance("expected-fail2", L, M0, M0)
 
 
 def _nilpotent(n: int) -> ProlongationInstance:
@@ -760,7 +761,7 @@ def _nilpotent(n: int) -> ProlongationInstance:
         # ask for tower depth >= 2 where the dimension allows it
         if n >= 4 and commutator(L, ad1).is_zero():
             continue
-        return _instance(f"nilpotent{n}", L, M0, M0, n)
+        return make_instance(f"nilpotent{n}", L, M0, M0)
 
 
 _CATALOG = {

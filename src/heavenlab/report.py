@@ -126,18 +126,8 @@ def render_structured(report: VerificationReport) -> str:
         "name": rep.name,
         "tool_version": TOOL_VERSION,
         "scenario": rep.scenario,
-        "checks": [
-            {
-                "check_id": r.check_id,
-                "suite": r.suite,
-                "equation": r.equation,
-                "residual": r.residual,
-                "bound": r.bound,
-                "verdict": r.verdict,
-                "detail": r.detail,
-            }
-            for r in rep.records
-        ],
+        # a record's fields, under their own names, are its JSON object
+        "checks": [vars(r) for r in rep.records],
         "result": "pass" if rep.all_passed() else "fail",
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

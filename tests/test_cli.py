@@ -572,6 +572,12 @@ def _json_type(value) -> str:
     return type(value).__name__
 
 
+def _at(doc, path: tuple):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
 def _retyped(doc: dict, path: tuple, value) -> dict:
     doc = json.loads(json.dumps(doc))
     parent = doc
@@ -608,10 +614,107 @@ def test_main_survives_any_retyped_value(tmp_path, site, data):
     # one value of a valid scenario becomes a value of another JSON type:
     # main reports a verdict or rejects the file, never raises
     base, key_path = site
-    original = base
-    for k in key_path:
-        original = original[k]
+    original = _at(base, key_path)
     value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(original)))
     path = tmp_path / "s.json"
     path.write_text(json.dumps(_retyped(base, key_path, value)))
     assert main(["verify", str(path), "--out", str(tmp_path / "r.txt")]) in (0, 1, 2)
+
+
+# -- upper limits -------------------------------------------------------------
+
+
+def _no_suite(*args):
+    raise AssertionError(f"suite {args[1]} ran on a scenario past a limit")
+
+
+def _zeros(n):
+    return [[0] * n for _ in range(n)]
+
+
+_AT_LIMITS = {
+    **SMALL,
+    "degree": cli.MAX_DEGREE,
+    "cutoff": cli.MAX_CUTOFF,
+    "t_samples": ["1/2"] * cli.MAX_LIST,
+    "u_samples": [0] * cli.MAX_LIST,
+    "scalar": {"t_samples": ["1"] * cli.MAX_LIST},
+    "sections": [{f"x^{i}": 1 for i in range(cli.MAX_TERMS)}] * cli.MAX_LIST,
+    "instance": {"operators": {k: _zeros(cli.MAX_DIM) for k in ("L", "M0", "P0")}},
+}
+
+
+def test_parse_accepts_every_value_at_its_limit():
+    sc = parse_scenario(json.dumps(_AT_LIMITS))
+    assert (sc.degree, sc.cutoff) == (cli.MAX_DEGREE, cli.MAX_CUTOFF)
+    assert len(sc.t_samples) == len(sc.u_samples) == cli.MAX_LIST
+    assert len(sc.sections) == cli.MAX_LIST
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("degree", cli.MAX_DEGREE + 1, f"degree must be <= {cli.MAX_DEGREE}"),
+    ("cutoff", cli.MAX_CUTOFF + 1, f"cutoff must be <= {cli.MAX_CUTOFF}"),
+    ("t_samples", ["1"] * (cli.MAX_LIST + 1), "t_samples may have at most"),
+    ("u_samples", [0] * (cli.MAX_LIST + 1), "u_samples may have at most"),
+    ("scalar", {"t_samples": ["1"] * (cli.MAX_LIST + 1)}, "scalar.t_samples may have at most"),
+    ("sections", [{"x": 1}] * (cli.MAX_LIST + 1), "sections may have at most"),
+    ("sections", [{"x": 1}, {f"x^{i}": 1 for i in range(cli.MAX_TERMS + 1)}],
+     f"sections[1] may have at most {cli.MAX_TERMS} terms"),
+    ("instance", {"operators": {k: _zeros(cli.MAX_DIM + 1) for k in ("L", "M0", "P0")}},
+     f"operators.L: dimension may be at most {cli.MAX_DIM}"),
+    ("instance", {"operators": {"L": [[0] * (cli.MAX_DIM + 1)], "M0": [[0]], "P0": [[0]]}},
+     "operators.L: dimension may be at most"),
+])
+def test_main_refuses_a_value_past_its_limit(tmp_path, capsys, monkeypatch, key, value, message):
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**_AT_LIMITS, key: value}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def _long_lists(entry):
+    # longer than every list limit
+    return st.integers(max(cli.MAX_LIST, cli.MAX_DIM) + 1, 300).map(lambda k: [entry] * k)
+
+
+_HUGE = st.integers(10**3, 10**40) | st.floats(1e3, 1e300)
+_NEGATIVE = st.integers(-(10**40), -1) | st.floats(-1e300, -1.0)
+# mutations that keep a value's JSON type but that a limit refuses: a huge or
+# negative degree or cutoff, a negative closure_cap, a section with too many
+# terms, and any list but `suites` made long
+_LIMIT_SITES = [
+    (base, path, values)
+    for base in (SMALL, SMALL_OPERATORS)
+    for path, values in [
+        (("degree",), _HUGE | _NEGATIVE),
+        (("cutoff",), _HUGE | _NEGATIVE),
+        (("closure_cap",), _NEGATIVE),
+        (("sections", 0), st.integers(cli.MAX_TERMS + 1, 300).map(
+            lambda k: {f"x^{i}": 1 for i in range(k)}
+        )),
+        *(
+            (path, _long_lists(_at(base, path)[0]))
+            for path in _paths(base)
+            if isinstance(_at(base, path), list) and path != ("suites",)
+        ),
+    ]
+]
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(site=st.sampled_from(_LIMIT_SITES), data=st.data())
+def test_main_refuses_type_keeping_values_past_a_limit(tmp_path, monkeypatch, site, data):
+    # the parser alone refuses the scenario: no suite runs
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    base, key_path, values = site
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_retyped(base, key_path, data.draw(values))))
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.txt")]) == 2

@@ -444,6 +444,13 @@ def test_spectral_residuals_reported_as_info():
     assert info == {"spectral-linear", "spectral-quadratic"}
 
 
+def _hfg_per_slope(fi, at, ux, uy, uz):
+    """The prolongation ansatz at one slope triple, written out with Operator
+    arithmetic: H = e^u u_z L + P, F = -u_y L + N, G = u_x L + M."""
+    L = fi.L
+    return L.scale(at.exp_u * uz) + at.P, L.scale(-uy) + fi.N, L.scale(ux) + at.M
+
+
 # the per-slope route of constraint_residuals, one Operator per matrix: the
 # reference that the slope-grid arrays must reproduce bit for bit.  It returns
 # the worst sample of each check, and every residual in the order the grid
@@ -468,10 +475,10 @@ def _per_slope_constraints(inst, u_samples, D=16):
         rough = 64.0 * EPS * (D + 2) * max(1.0, nL) ** 2 * max(
             1.0, frobenius(at.P) + frobenius(at.M) + frobenius(fi.N) + 1.0
         ) * max(1.0, at.t) ** D
-        H0, F0, G0 = at.hfg(fi, 0.0, 0.0, 0.0)
-        Hx, Fx, Gx = at.hfg(fi, 1.0, 0.0, 0.0)
-        Hy, Fy, Gy = at.hfg(fi, 0.0, 1.0, 0.0)
-        Hz, Fz, Gz = at.hfg(fi, 0.0, 0.0, 1.0)
+        H0, F0, G0 = _hfg_per_slope(fi, at, 0.0, 0.0, 0.0)
+        Hx, Fx, Gx = _hfg_per_slope(fi, at, 1.0, 0.0, 0.0)
+        Hy, Fy, Gy = _hfg_per_slope(fi, at, 0.0, 1.0, 0.0)
+        Hz, Fz, Gz = _hfg_per_slope(fi, at, 0.0, 0.0, 1.0)
         H_ux, H_uy, H_uz = Hx - H0, Hy - H0, Hz - H0
         F_ux, F_uy, F_uz = Fx - F0, Fy - F0, Fz - F0
         G_ux, G_uy, G_uz = Gx - G0, Gy - G0, Gz - G0
@@ -487,7 +494,7 @@ def _per_slope_constraints(inst, u_samples, D=16):
         for ux in (-1.0, 0.0, 1.0):
             for uy in (-1.0, 0.0, 1.0):
                 for uz in (-1.0, 0.0, 1.0):
-                    H, Fm, G = at.hfg(fi, ux, uy, uz)
+                    H, Fm, G = _hfg_per_slope(fi, at, ux, uy, uz)
                     Hu = L.scale(eu * uz) + at.Pu
                     Fu = Operator.zero(fi.dim, FLOAT)
                     struct = (Hu.scale(uz) - Fu.scale(uy) + at.Mu.scale(ux)
@@ -517,8 +524,10 @@ def _outcome(fn):
 
 def _assert_same_as_per_slope(monkeypatch, inst, u_samples):
     seen = []
-    norms = eds._norms
-    monkeypatch.setattr(eds, "_norms", lambda stack: seen.append(norms(stack)) or seen[-1])
+    norms = eds.frobenius_stack
+    monkeypatch.setattr(
+        eds, "frobenius_stack", lambda stack: seen.append(norms(stack)) or seen[-1]
+    )
     want = _outcome(lambda: _per_slope_constraints(inst, u_samples))
     got = _outcome(lambda: constraint_residuals(inst, u_samples))
     if not isinstance(got, eds.VerificationReport):
@@ -561,3 +570,39 @@ def test_constraint_grid_equals_per_slope_route_on_random_instances(monkeypatch)
         u_samples = tuple(rng.uniform(-3.0, 2.0) for _ in range(3))
         _assert_same_as_per_slope(monkeypatch, inst, u_samples)
 
+
+def _hexes(arr):
+    return [float(x).hex() for x in np.asarray(arr).ravel()]
+
+
+def _assert_hfg_grid_is_per_slope_formula(inst, u_samples):
+    """SolutionAt.hfg over the slope grid, and at each scalar slope triple,
+    gives the bits of the ansatz written out per slope."""
+    fi = inst.to_float()
+    sol = solution_cal_form(fi, 16)
+    for u in u_samples:
+        at = eval_at_u(fi, sol, u)
+        grid = at.hfg(fi, eds._UX, eds._UY, eds._UZ)
+        assert all(X.shape == (len(eds._GRID), fi.dim, fi.dim) for X in grid)
+        for k, slopes in enumerate(eds._GRID):
+            want = _hfg_per_slope(fi, at, *slopes)
+            for X, x, w in zip(grid, at.hfg(fi, *slopes), want):
+                assert _hexes(X[k]) == _hexes(w.data), (inst.name, u, slopes)
+                assert _hexes(x) == _hexes(w.data), (inst.name, u, slopes)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_hfg_on_slope_grid_is_the_per_slope_formula_on_catalog(name):
+    _assert_hfg_grid_is_per_slope_formula(catalog_instance(name), (-2.0, -0.5, 0.0, 1.5))
+
+
+def test_hfg_on_slope_grid_is_the_per_slope_formula_on_random_instances():
+    rng = random.Random(2113)
+    for i in range(12):
+        n = rng.choice((2, 3, 4))
+        L, M0, N, A, B = (random_rational_operator(rng, n) for _ in range(5))
+        # P0 = M0 meets the coupling precondition; hfg reads neither A nor B
+        inst = ProlongationInstance(f"random{i}", L, M0, M0, N, A, B)
+        _assert_hfg_grid_is_per_slope_formula(
+            inst, tuple(rng.uniform(-3.0, 2.0) for _ in range(3))
+        )

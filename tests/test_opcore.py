@@ -19,9 +19,11 @@ from heavenlab.opcore import (
     commutator,
     determinant,
     frobenius,
+    frobenius_stack,
     norm_bound,
     operator_exp,
 )
+from heavenlab.besselop import OperatorSeries
 
 from _helpers import random_float_operator, random_rational_operator
 
@@ -401,6 +403,46 @@ def test_float_frobenius_bit_identical_to_abs_square_sum():
     for x in arrays:
         ref = float(np.sqrt((abs(x) ** 2).sum()))
         assert frobenius(Operator(x, FLOAT)) == ref
+
+
+@st.composite
+def float_stacks(draw):
+    """A C-ordered (k, n, n) float64 or complex128 stack with signed zeros,
+    whose entries span 60 binades around a drawn power of 2: from squares
+    that underflow to 0 to sums of squares that overflow to inf."""
+    k, n = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    center = draw(st.sampled_from([-560, -540, -500, -200, 0, 200, 480, 500, 520]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part():
+        x = rng.standard_normal((k, n, n)) * 2.0 ** rng.integers(center - 30, center + 31, x_shape)
+        x[rng.random(x_shape) < 0.1] = 0.0
+        x[rng.random(x_shape) < 0.1] = -0.0
+        return x
+
+    x_shape = (k, n, n)
+    return part() + 1j * part() if draw(st.booleans()) else part()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(float_stacks())
+def test_frobenius_stack_is_frobenius_per_matrix(stack):
+    with np.errstate(over="ignore", under="ignore"):
+        want = [frobenius(Operator(m.copy(), FLOAT)) for m in stack]
+        assert [x.hex() for x in frobenius_stack(stack)] == [x.hex() for x in want]
+        series = OperatorSeries([Operator(m.copy(), FLOAT) for m in stack])
+        assert series.max_coeff_norm().hex() == max(want).hex()
+
+
+def test_frobenius_stack_underflow_and_overflow():
+    stack = np.array([
+        [[1e-200, -1e-200], [0.0, -0.0]],  # every square underflows to 0
+        [[1e200, 1.0], [-1e200, 0.0]],  # the sum of squares overflows
+        [[3.0, 4.0], [0.0, -0.0]],
+    ])
+    with np.errstate(over="ignore", under="ignore"):
+        assert frobenius_stack(stack) == [0.0, math.inf, 5.0]
+        assert frobenius_stack(stack) == [frobenius(Operator(m.copy(), FLOAT)) for m in stack]
 
 
 def test_determinant_matches_sympy():

@@ -296,9 +296,10 @@ def test_build_HFG_heisenberg_at_zero():
     fi = catalog_instance("heisenberg3").to_float()
     H, F, G = eval_at_u(fi, solution_cal_form(fi, 12), 0.0).hfg(fi, 0.0, 0.0, 1.0)
     # H = e^u u_z L + P(2) = e12 + e13 (P(2) = (4/4) e13)
-    assert H == (Operator.unit(3, 0, 1, mode=FLOAT) + Operator.unit(3, 0, 2, mode=FLOAT))
-    assert F == Operator.zero(3, FLOAT)
-    assert G == Operator.unit(3, 1, 2, mode=FLOAT)  # u_x = 0: G = M = M0
+    assert H.shape == F.shape == G.shape == (3, 3)
+    assert (H == (Operator.unit(3, 0, 1, mode=FLOAT) + Operator.unit(3, 0, 2, mode=FLOAT)).data).all()
+    assert not F.any()
+    assert (G == Operator.unit(3, 1, 2, mode=FLOAT).data).all()  # u_x = 0: G = M = M0
 
 
 def test_addition_theorem_convention():
