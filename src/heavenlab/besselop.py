@@ -398,21 +398,38 @@ def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operato
 
 # -- recurrence checks -----------------------------------------------------
 
-RELATIONS = (
-    "negative_index",
-    "recurrence_2k",
-    "derivative_diff",
-    "positive_derivative",
-    "negative_derivative",
-)
-
-_REL_EQUATIONS = {
-    "negative_index": "J_{-k}(tL) = (-1)^k J_k(tL)",
-    "recurrence_2k": "2k J_k(tL) = tL [J_{k-1}(tL) + J_{k+1}(tL)]",
-    "derivative_diff": "2 d/dt J_k(tL) = L [J_{k-1}(tL) - J_{k+1}(tL)]",
-    "positive_derivative": "d/dt[t^k J_k(tL)] = L t^k J_{k-1}(tL)",
-    "negative_derivative": "d/dt[t^-k J_k(tL)] = -L t^-k J_{k+1}(tL)",
+# name -> (equation, how many degrees short of D the comparison is
+# complete, the residual series at k from the J_k table and L)
+_RELATIONS = {
+    "negative_index": (
+        "J_{-k}(tL) = (-1)^k J_k(tL)",
+        1,
+        lambda J, L, k: J[-k] - J[k].scale((-1) ** k),
+    ),
+    "recurrence_2k": (
+        "2k J_k(tL) = tL [J_{k-1}(tL) + J_{k+1}(tL)]",
+        1,
+        lambda J, L, k: J[k].scale(2 * k) - (J[k - 1] + J[k + 1]).lmul(L).shift(1),
+    ),
+    "derivative_diff": (
+        "2 d/dt J_k(tL) = L [J_{k-1}(tL) - J_{k+1}(tL)]",
+        2,
+        lambda J, L, k: J[k].derivative().scale(2) - (J[k - 1] - J[k + 1]).lmul(L),
+    ),
+    # t^{1-k} * (d/dt[t^k J_k] - L t^k J_{k-1}) = k J_k + t J_k' - t L J_{k-1}
+    "positive_derivative": (
+        "d/dt[t^k J_k(tL)] = L t^k J_{k-1}(tL)",
+        2,
+        lambda J, L, k: J[k].scale(k) + J[k].derivative().shift(1) - J[k - 1].lmul(L).shift(1),
+    ),
+    # t^{1+k} * (d/dt[t^-k J_k] + L t^-k J_{k+1}) = -k J_k + t J_k' + t L J_{k+1}
+    "negative_derivative": (
+        "d/dt[t^-k J_k(tL)] = -L t^-k J_{k+1}(tL)",
+        2,
+        lambda J, L, k: J[k].scale(-k) + J[k].derivative().shift(1) + J[k + 1].lmul(L).shift(1),
+    ),
 }
+RELATIONS = tuple(_RELATIONS)
 
 
 def check_recurrence(
@@ -421,7 +438,7 @@ def check_recurrence(
     D: int,
     k_range: Sequence[int],
 ) -> VerificationReport:
-    """Coefficient-wise verification of one recurrence or derivative relation.
+    """Coefficient-wise verification of one relation of `_RELATIONS`.
 
     Derivative relations with t^{+-k} prefactors are verified in the
     t-multiplied polynomial form (k J_k + t J_k' = t L J_{k-1} and
@@ -429,7 +446,7 @@ def check_recurrence(
     relations are compared through degree D-1, derivative relations through
     D-2, where both sides' truncations are complete.
     """
-    if rel not in RELATIONS:
+    if rel not in _RELATIONS:
         raise ValueError(f"unknown relation {rel!r}; expected one of {RELATIONS}")
     k_range = sorted(set(int(k) for k in k_range))
     if not k_range:
@@ -455,34 +472,16 @@ def check_recurrence(
         )
         fl_bound = 64.0 * EPS * (D + 2) * scale
 
+    equation, short, residual_series = _RELATIONS[rel]
+    through = D - short
     records = []
     for k in k_range:
-        if rel == "negative_index":
-            diff = J[-k] - J[k].scale((-1) ** k)
-            through = D - 1
-        elif rel == "recurrence_2k":
-            rhs = (J[k - 1] + J[k + 1]).lmul(L).shift(1)
-            diff = J[k].scale(2 * k) - rhs
-            through = D - 1
-        elif rel == "derivative_diff":
-            lhs = J[k].derivative().scale(2)
-            rhs = (J[k - 1] - J[k + 1]).lmul(L)
-            diff = lhs - rhs
-            through = D - 2
-        elif rel == "positive_derivative":
-            # t^{1-k} * (d/dt[t^k J_k] - L t^k J_{k-1}) = k J_k + t J_k' - t L J_{k-1}
-            diff = J[k].scale(k) + J[k].derivative().shift(1) - J[k - 1].lmul(L).shift(1)
-            through = D - 2
-        else:  # negative_derivative
-            # t^{1+k} * (d/dt[t^-k J_k] + L t^-k J_{k+1}) = -k J_k + t J_k' + t L J_{k+1}
-            diff = J[k].scale(-k) + J[k].derivative().shift(1) + J[k + 1].lmul(L).shift(1)
-            through = D - 2
-        residual = diff.max_coeff_norm(through)
+        residual = residual_series(J, L, k).max_coeff_norm(through)
         records.append(
             make_record(
                 check_id=f"{rel}[k={k}]",
                 suite="bessel-recurrences",
-                equation=_REL_EQUATIONS[rel],
+                equation=equation,
                 residual=residual,
                 bound=0.0 if exact else fl_bound,
                 detail=f"degree {D}, compared through {through}, mode {L.mode}",

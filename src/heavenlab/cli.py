@@ -79,12 +79,14 @@ class Scenario:
 
 
 def _fraction(value, what: str) -> Fraction:
+    """value as a Fraction, refused unless its numerator and its denominator
+    each have at most MAX_BITS bits."""
     try:
-        if isinstance(value, float):
-            return Fraction(value)
-        return Fraction(str(value))
+        f = Fraction(value) if isinstance(value, float) else Fraction(str(value))
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
+    _check_bits(max(f.numerator.bit_length(), f.denominator.bit_length()), what)
+    return f
 
 
 # Upper limits on the size of a scenario, so that none can ask for hours of
@@ -95,6 +97,16 @@ MAX_CUTOFF = 32
 MAX_DIM = 12  # rows and columns of an explicit operator
 MAX_LIST = 32  # entries of t_samples, u_samples, scalar.t_samples and sections
 MAX_TERMS = 64  # terms of one section polynomial
+# bits of a rational's numerator and of its denominator, and of an explicit
+# operator's shared denominator and of each numerator over it
+MAX_BITS = 2048
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if bits > MAX_BITS:
+        raise ScenarioError(
+            f"{what}: numerators and denominators may have at most {MAX_BITS} bits, got {bits}"
+        )
 
 
 def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
@@ -128,11 +140,12 @@ def _operator(rows, what: str) -> Operator:
     if n > MAX_DIM:
         raise ScenarioError(f"{what}: dimension may be at most {MAX_DIM}, got {n}")
     try:
-        return Operator.from_rows(
-            [[_fraction(x, what) for x in row] for row in rows], EXACT
-        )
+        op = Operator.from_rows([[_fraction(x, what) for x in row] for row in rows], EXACT)
     except ValueError as e:
         raise ScenarioError(f"{what}: {e}") from e
+    bits = max(x.bit_length() for x in op.numerators.flat)
+    _check_bits(max(bits, op.denominator.bit_length()), what)
+    return op
 
 
 def build_instance(spec: dict) -> ProlongationInstance:

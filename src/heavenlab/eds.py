@@ -3,9 +3,9 @@
 Forms live over one fixed coordinate ring, BASE_RING (x, y, z, u, p, q, r).  One
 sparse type, DifferentialForm, holds every degree: a sum of rational terms
 c * monomial * e^{s u} * dW, so a 0-form is a coefficient-ring element and *
-is the wedge product.  Everything symbolic here is exact: wedge, exterior
-derivative, pullback along a jet section, and ideal membership with verified
-multiplier witnesses.
+is the wedge product, the only one.  Everything symbolic here is exact: *,
+exterior derivative, pullback along a jet section, and ideal membership with
+verified multipliers.
 
 A coefficient c is a Python int where it is integral and a
 fractions.Fraction only where it is not; never a float.  The ideal's
@@ -30,7 +30,6 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -38,7 +37,6 @@ import numpy as np
 
 from .opcore import (
     EPS,
-    FLOAT,
     NonFiniteError,
     Operator,
     check_finite,
@@ -335,10 +333,9 @@ BASE_RING = Ring(("x", "y", "z", "u", "p", "q", "r"))
 BASE_RING.exp_derivs = {"u": BASE_RING.one()}
 
 
-def one_form(ring: Ring, var: str, coeff: Optional[DifferentialForm] = None) -> DifferentialForm:
-    """coeff * d(var)."""
-    dv = DifferentialForm(ring, 1, {((ring.index(var),), (), 0): 1})
-    return dv if coeff is None else coeff * dv
+def one_form(ring: Ring, var: str) -> DifferentialForm:
+    """d(var)."""
+    return DifferentialForm(ring, 1, {((ring.index(var),), (), 0): 1})
 
 
 def form_from_wedge(ring: Ring, wedge_vars: Sequence[str], coeff=1) -> DifferentialForm:
@@ -347,10 +344,6 @@ def form_from_wedge(ring: Ring, wedge_vars: Sequence[str], coeff=1) -> Different
     for v in wedge_vars:
         acc = acc * one_form(ring, v)
     return acc
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    return a * b
 
 
 def ext_d(a: DifferentialForm) -> DifferentialForm:
@@ -510,14 +503,6 @@ def check_proposition1(section: Section) -> VerificationReport:
 # -- ideal membership --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
-    """Verified multipliers sigma_j with sum_j sigma_j ^ theta_j = target."""
-
-    multipliers: tuple[DifferentialForm, ...]
-    degree: int
-
-
 def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Monomial]:
     out: list[Monomial] = []
     for d in range(degree + 1):
@@ -593,8 +578,9 @@ def ideal_membership(
     target: DifferentialForm,
     generators: Sequence[DifferentialForm],
     multiplier_degree: int = 2,
-) -> Optional[MembershipWitness]:
-    """Search for multipliers sigma_j with sum sigma_j ^ theta_j = target.
+) -> Optional[tuple[DifferentialForm, ...]]:
+    """Search for multipliers sigma_j with sum sigma_j ^ theta_j = target,
+    returned in the order of the generators.
 
     The ansatz space is monomials of total degree <= multiplier_degree over
     the variables occurring in the target and generators, times e^{s u} for
@@ -627,7 +613,7 @@ def _membership_attempt(
     gens: list[DifferentialForm],
     degree: int,
     varset: list[str],
-) -> Optional[MembershipWitness]:
+) -> Optional[tuple[DifferentialForm, ...]]:
     """One bounded search: the linear system of sum sigma_j ^ theta_j = target.
 
     A basis multiplier is mono e^{s u} dv, so its product with theta_j is
@@ -683,7 +669,7 @@ def _membership_attempt(
         acc = acc + sigma * g
     if not (acc - target).is_zero():
         return None
-    return MembershipWitness(multipliers=multipliers, degree=degree)
+    return multipliers
 
 
 def closure_check(cap: int = 3) -> VerificationReport:
@@ -709,7 +695,7 @@ def closure_check(cap: int = 3) -> VerificationReport:
                     f"d theta{i} in <theta1..theta4>",
                     0.0,
                     0.0,
-                    detail=f"witness verified at multiplier degree {found.degree}",
+                    detail=f"witness verified at multiplier degree {deg}",
                 )
             )
         else:
@@ -795,7 +781,7 @@ def constraint_residuals(
         # build_instance refuses a B that is singular over the rationals, so
         # only its rounding to float64 can be singular
         raise NonFiniteError("singular B in float64: B^-1 is not finite") from None
-    Binv = Operator(np.ascontiguousarray(Binv_arr), FLOAT)
+    Binv = Operator._checked(np.ascontiguousarray(Binv_arr))
 
     sol = solution_cal_form(fi, D)
     for u in u_samples:

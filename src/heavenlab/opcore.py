@@ -113,50 +113,27 @@ class Operator:
 
     __slots__ = ("_arr", "denominator", "_view", "mode", "_zero")
 
-    def __init__(self, data: np.ndarray, mode: str):
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got shape {data.shape}")
-        if mode == EXACT:
-            self._set_exact(*_over_lcm([_exact_entry(x) for x in data.flat], data.shape[0]))
-            return
-        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
-        data = check_finite(np.asarray(data, dtype=dtype))
-        data.setflags(write=False)
-        self._arr = data
-        self.denominator = None
-        self.mode = mode
-
-    def _set_exact(self, num: np.ndarray, den: int) -> None:
-        """Store num/den, reduced by the gcd of den and all of num."""
+    @classmethod
+    def _exact(cls, num: np.ndarray, den: int) -> "Operator":
+        """num/den, reduced by the gcd of den and all of num."""
         if den != 1:
             g = math.gcd(den, *num.flat)
             if g != 1:
                 num = num // g
                 den //= g
-        self._set_lowest(num, den)
-
-    def _set_lowest(self, num: np.ndarray, den: int) -> None:
-        """Store num/den, which the caller knows to be in lowest terms."""
-        num.setflags(write=False)
-        self._arr = num
-        self.denominator = den
-        self._view = None
-        self.mode = EXACT
-        # a zero matrix always reduces to denominator 1
-        self._zero = den == 1 and not any(num.flat)
-
-    @classmethod
-    def _exact(cls, num: np.ndarray, den: int) -> "Operator":
-        op = object.__new__(cls)
-        op._set_exact(num, den)
-        return op
+        return cls._lowest(num, den)
 
     @classmethod
     def _lowest(cls, num: np.ndarray, den: int) -> "Operator":
+        """num/den, which the caller knows to be in lowest terms."""
+        num.setflags(write=False)
         op = object.__new__(cls)
-        op._set_lowest(num, den)
+        op._arr = num
+        op.denominator = den
+        op._view = None
+        op.mode = EXACT
+        # a zero matrix always reduces to denominator 1
+        op._zero = den == 1 and not any(num.flat)
         return op
 
     @classmethod
@@ -178,6 +155,8 @@ class Operator:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[ScalarLike]], mode: str) -> "Operator":
+        """The square matrix with these rows, in `mode`: the one public
+        constructor from entries (rows may be a 2-d array)."""
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatchError("operator must be square")
@@ -254,9 +233,6 @@ class Operator:
         if self.mode == EXACT:
             return Fraction(self._arr[i, j], self.denominator)
         return self._arr[i, j]
-
-    def rows(self) -> list[list]:
-        return [list(r) for r in self.data]
 
     def is_zero(self) -> bool:
         if self.mode == EXACT:
@@ -361,11 +337,6 @@ class Operator:
                 num = num // g
                 q //= g
         return Operator._lowest(num if p == 1 else num * p, den * q)
-
-    def __mul__(self, s: ScalarLike) -> "Operator":
-        return self.scale(s)
-
-    __rmul__ = __mul__
 
     # -- conversions -------------------------------------------------------
 

@@ -64,32 +64,6 @@ from .opcore import (
 )
 from .report import VerificationReport, make_record
 
-__all__ = [
-    "OPERATORS",
-    "ProlongationInstance",
-    "make_instance",
-    "cal_bessel",
-    "CouplingError",
-    "CalSolution",
-    "solution_cal_form",
-    "LFormSolution",
-    "solution_L_form",
-    "ode_residual",
-    "ode_check",
-    "equivalence_check",
-    "bch_check",
-    "prolongation_residual",
-    "compatibility_check",
-    "initial_condition_check",
-    "scalar_reduction",
-    "scalar_check",
-    "SolutionAt",
-    "eval_at_u",
-    "catalog_names",
-    "catalog_instance",
-]
-
-
 # the operators of an instance, in the order of its fields
 OPERATORS = ("L", "M0", "P0", "N", "A", "B")
 
@@ -300,10 +274,8 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
     d1 = S.derivative()
     d2 = d1.derivative()
     ad2 = S.map_coeffs(lambda c: ad_apply(ctx, ad_apply(ctx, c)))
-    if kind == "P2":
-        resid = d2.shift(1) - d1 + ad2.shift(1)
-    else:
-        resid = d2.shift(1) + d1 + ad2.shift(1)
+    t_d2 = d2.shift(1)
+    resid = (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
     return resid.truncate(S.degree - 1)
 
 
@@ -614,26 +586,13 @@ def compatibility_check(inst: ProlongationInstance) -> VerificationReport:
     """
     if inst.mode != EXACT:
         raise ValueError("compatibility_check needs the exact instance")
-    coupling = inst.coupling_residual()
-    adm = commutator(inst.L, inst.M0)
-    compat = commutator(adm, inst.M0)
-    records = (
-        make_record(
-            "coupling",
-            "compatibility",
-            "[L, P0] = [L, M0]",
-            frobenius(coupling),
-            0.0,
-            detail=inst.name,
-        ),
-        make_record(
-            "ad-commutation",
-            "compatibility",
-            "[[L, M0], M0] = 0",
-            frobenius(compat),
-            0.0,
-            detail=inst.name,
-        ),
+    checks = (
+        ("coupling", "[L, P0] = [L, M0]", inst.coupling_residual()),
+        ("ad-commutation", "[[L, M0], M0] = 0", commutator(commutator(inst.L, inst.M0), inst.M0)),
+    )
+    records = tuple(
+        make_record(cid, "compatibility", eq, frobenius(op), 0.0, detail=inst.name)
+        for cid, eq, op in checks
     )
     return VerificationReport(name=f"compatibility:{inst.name}", records=records)
 

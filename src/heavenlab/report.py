@@ -42,23 +42,20 @@ def make_record(
     equation: str,
     residual: float,
     bound: float,
-    required: bool = True,
     detail: str = "",
 ) -> CheckRecord:
     """Build a record; the verdict comes only from residual <= bound."""
     residual = float(residual)
     bound = float(bound)
-    if required:
-        verdict = PASS if residual <= bound else FAIL
-    else:
-        verdict = INFO
+    verdict = PASS if residual <= bound else FAIL
     return CheckRecord(check_id, suite, equation, residual, bound, verdict, detail)
 
 
 def info_record(
     check_id: str, suite: str, equation: str, residual: float, detail: str = ""
 ) -> CheckRecord:
-    return make_record(check_id, suite, equation, residual, 0.0, required=False, detail=detail)
+    """A record that reports a residual and never gates: verdict info, bound 0."""
+    return CheckRecord(check_id, suite, equation, float(residual), 0.0, INFO, detail)
 
 
 @dataclass

@@ -45,7 +45,7 @@ def test_bch_nilpotent_frozen_closed_form():
         want = np.array(
             [[1j * t, t * t], [1.0, -1j * t]], dtype=complex
         )
-        assert np.max(np.abs(np.array(got.rows()) - want)) < 1e-14
+        assert np.max(np.abs(np.array(got.data) - want)) < 1e-14
 
 
 def test_bch_diagonal_eigen_oracle():

@@ -295,7 +295,7 @@ def _float_coeffs(rng, n, D):
     raw = rng.standard_normal((D + 1, n, n)) * 2.0 ** rng.integers(-40, 41, (D + 1, n, n))
     raw[rng.random(raw.shape) < 0.15] = 0.0
     raw[rng.random(raw.shape) < 0.15] = -0.0
-    return [Operator(c.copy(), FLOAT) for c in raw]
+    return [Operator.from_rows(c, FLOAT) for c in raw]
 
 
 def _same_bits(series, ops):

@@ -632,15 +632,28 @@ def _zeros(n):
     return [[0] * n for _ in range(n)]
 
 
+def _with_entry(rows, i, j, x):
+    rows = [list(r) for r in rows]
+    rows[i][j] = x
+    return rows
+
+
+# a denominator and a numerator of MAX_BITS bits
+_LONGEST_DEN = f"1/{2 ** (cli.MAX_BITS - 1)}"
+_LONGEST_NUM = 2**cli.MAX_BITS - 1
 _AT_LIMITS = {
     **SMALL,
     "degree": cli.MAX_DEGREE,
     "cutoff": cli.MAX_CUTOFF,
-    "t_samples": ["1/2"] * cli.MAX_LIST,
+    "t_samples": [_LONGEST_DEN] * cli.MAX_LIST,
     "u_samples": [0] * cli.MAX_LIST,
-    "scalar": {"t_samples": ["1"] * cli.MAX_LIST},
+    "scalar": {"omega": _LONGEST_NUM, "t_samples": ["1"] * cli.MAX_LIST},
     "sections": [{f"x^{i}": 1 for i in range(cli.MAX_TERMS)}] * cli.MAX_LIST,
-    "instance": {"operators": {k: _zeros(cli.MAX_DIM) for k in ("L", "M0", "P0")}},
+    "instance": {"operators": {
+        "L": _with_entry(_zeros(cli.MAX_DIM), 0, 1, _LONGEST_DEN),
+        "M0": _with_entry(_zeros(cli.MAX_DIM), 0, 1, _LONGEST_NUM),
+        "P0": _zeros(cli.MAX_DIM),
+    }},
 }
 
 
@@ -649,6 +662,14 @@ def test_parse_accepts_every_value_at_its_limit():
     assert (sc.degree, sc.cutoff) == (cli.MAX_DEGREE, cli.MAX_CUTOFF)
     assert len(sc.t_samples) == len(sc.u_samples) == cli.MAX_LIST
     assert len(sc.sections) == cli.MAX_LIST
+    assert sc.t_samples[0].denominator.bit_length() == cli.MAX_BITS
+    L = cli.build_instance(sc.instance_spec).L
+    assert L.denominator.bit_length() == cli.MAX_BITS
+
+
+# two denominators of 1501 bits each, coprime: an operator holding both has a
+# shared denominator of 3001 bits
+_COPRIME_DENS = [[f"1/{2**1500 + 1}", 0], [0, f"1/{2**1500 + 3}"]]
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -664,6 +685,11 @@ def test_parse_accepts_every_value_at_its_limit():
      f"operators.L: dimension may be at most {cli.MAX_DIM}"),
     ("instance", {"operators": {"L": [[0] * (cli.MAX_DIM + 1)], "M0": [[0]], "P0": [[0]]}},
      "operators.L: dimension may be at most"),
+    ("t_samples", [f"1/{2**cli.MAX_BITS}"],
+     f"t_samples: numerators and denominators may have at most {cli.MAX_BITS} bits"),
+    ("scalar", {"omega": 2**cli.MAX_BITS}, "scalar.omega: numerators and denominators"),
+    ("instance", {"operators": {"L": _COPRIME_DENS, "M0": _zeros(2), "P0": _zeros(2)}},
+     f"operators.L: numerators and denominators may have at most {cli.MAX_BITS} bits, got 3001"),
 ])
 def test_main_refuses_a_value_past_its_limit(tmp_path, capsys, monkeypatch, key, value, message):
     monkeypatch.setattr(cli, "run_suite", _no_suite)
@@ -681,9 +707,16 @@ def _long_lists(entry):
 
 _HUGE = st.integers(10**3, 10**40) | st.floats(1e3, 1e300)
 _NEGATIVE = st.integers(-(10**40), -1) | st.floats(-1e300, -1.0)
+# 2**b has b + 1 bits, one more than MAX_BITS at the least
+_LONG_BITS = st.integers(cli.MAX_BITS, 3 * cli.MAX_BITS)
+_LONG_INT = _LONG_BITS.map(lambda b: 2**b)
+_LONG_TEXT = _LONG_BITS.flatmap(
+    lambda b: st.sampled_from([f"{2**b}/3", f"1/{2**b}", f"1e-{b}"])
+)
 # mutations that keep a value's JSON type but that a limit refuses: a huge or
 # negative degree or cutoff, a negative closure_cap, a section with too many
-# terms, and any list but `suites` made long
+# terms, any list but `suites` made long, and a rational (a t, a scalar value,
+# an operator entry) made longer than MAX_BITS
 _LIMIT_SITES = [
     (base, path, values)
     for base in (SMALL, SMALL_OPERATORS)
@@ -698,6 +731,12 @@ _LIMIT_SITES = [
             (path, _long_lists(_at(base, path)[0]))
             for path in _paths(base)
             if isinstance(_at(base, path), list) and path != ("suites",)
+        ),
+        *(
+            (path, _LONG_TEXT if isinstance(_at(base, path), str) else _LONG_INT)
+            for path in _paths(base)
+            if (path[0] in ("t_samples", "scalar") or path[:2] == ("instance", "operators"))
+            and not isinstance(_at(base, path), (dict, list))
         ),
     ]
 ]
