@@ -11,9 +11,9 @@ coefficients are always computed exactly (big-integer factorials) and rounded
 once when the series lives in float mode.
 
 `bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
-tower of operators into a series: the powers of X (`opcore.powers`) give
-J_m(tX), and the ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in
-`prolong`.
+tower of operators into a series with its tail: the powers of X
+(`opcore.powers`) give J_m(tX), and the ad tower of A (`adjoint.ad_tower`)
+gives J_m(t ad_L)[A] in `prolong`.
 
 An exact `OperatorSeries` is a tuple of canonical Operators.  A float series
 is one (D+1, n, n) array, so a series operation is one numpy expression and
@@ -69,8 +69,8 @@ class OperatorSeries:
 
     Degree-truncating ring: addition and scalar/operator multiplication keep
     the stored degree; shift(k) multiplies by t^k by index shifting (never by
-    division).  tail_fn, when its builder sets it, maps |t| to a bound on the
-    dropped infinite tail.
+    division).  tail_fn, set where a Bessel series is built and carried by
+    no arithmetic result, maps |t| to a bound on the dropped infinite tail.
 
     The storage follows the mode.  An exact series is a tuple of canonical
     Operators.  A float series is one read-only (D+1, n, n) array: each
@@ -182,13 +182,6 @@ class OperatorSeries:
         return OperatorSeries._frozen(
             np.concatenate((np.zeros((k,) + arr.shape[1:], arr.dtype), arr))
         )
-
-    def truncate(self, degree: int) -> "OperatorSeries":
-        if degree >= self.degree:
-            return self
-        if self._arr is None:
-            return OperatorSeries(self.coeffs[: degree + 1])
-        return OperatorSeries._frozen(self._arr[: degree + 1])
 
     def derivative(self) -> "OperatorSeries":
         if self.degree == 0:
@@ -305,24 +298,31 @@ def bilateral_tail(r: float, K: int) -> float:
             return math.inf
 
 
-def bessel_coeffs(tower: Sequence[Operator], m: int, D: int) -> OperatorSeries:
-    """J_m laid over `tower`, through degree D, as a series without a tail.
+def bessel_coeffs(
+    tower: Sequence[Operator], m: int, D: int, rate: float, norm: float
+) -> OperatorSeries:
+    """J_m laid over `tower`, through degree D, with its tail.
 
     Coefficient deg is tower[deg].scale(q) for each (deg, q) of
     `bessel_terms`, and zero at every other degree.  Over the powers of X
-    this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].
+    this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].  `rate`
+    and `norm` bound the tower, ||tower[j]|| <= norm * rate^j, so the dropped
+    terms at |t| are at most norm * `bessel_tail`(|t| rate / 2, m, D).
     """
     first = tower[0]
     if first.mode == EXACT:
         coeffs = [Operator.zero(first.dim, EXACT)] * (D + 1)
         for deg, q in bessel_terms(m, D):
             coeffs[deg] = tower[deg].scale(q)
-        return OperatorSeries(coeffs)
-    dtype = np.result_type(*{c._arr.dtype for c in tower[: D + 1]})
-    arr = np.zeros((D + 1, first.dim, first.dim), dtype)
-    for deg, q in bessel_terms(m, D):
-        arr[deg] = tower[deg]._arr * float(q)
-    return OperatorSeries._checked(arr)
+        s = OperatorSeries(coeffs)
+    else:
+        dtype = np.result_type(*{c._arr.dtype for c in tower[: D + 1]})
+        arr = np.zeros((D + 1, first.dim, first.dim), dtype)
+        for deg, q in bessel_terms(m, D):
+            arr[deg] = tower[deg]._arr * float(q)
+        s = OperatorSeries._checked(arr)
+    s.tail_fn = lambda t_abs: norm * bessel_tail(t_abs * rate / 2.0, m, D)
+    return s
 
 
 def bessel_series(
@@ -342,10 +342,7 @@ def bessel_series(
         raise ValueError("degree must be >= 0")
     if powers is None:
         powers = operator_powers(X, D)
-    nx = frobenius(X)
-    s = bessel_coeffs(powers, m, D)
-    s.tail_fn = lambda t_abs: bessel_tail(t_abs * nx / 2.0, m, D)
-    return s
+    return bessel_coeffs(powers, m, D, frobenius(X), 1.0)
 
 
 def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:

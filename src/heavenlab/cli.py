@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,9 +81,15 @@ class Scenario:
 
 def _fraction(value, what: str) -> Fraction:
     """value as a Fraction, refused unless its numerator and its denominator
-    each have at most MAX_BITS bits."""
+    each have at most MAX_BITS bits.  A decimal exponent past MAX_EXPONENT is
+    refused before Fraction would build its power of 10."""
+    text = str(value)
+    exponent = _EXPONENT.search(text)
+    digits = exponent and exponent[1].replace("_", "").lstrip("0")
+    if digits and (len(digits) > 5 or int(digits) > MAX_EXPONENT):
+        raise ScenarioError(f"{what}: a decimal exponent may be at most {MAX_EXPONENT}")
     try:
-        f = Fraction(value) if isinstance(value, float) else Fraction(str(value))
+        f = Fraction(value) if isinstance(value, float) else Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ScenarioError(f"{what}: not a rational number: {value!r}") from e
     _check_bits(max(f.numerator.bit_length(), f.denominator.bit_length()), what)
@@ -100,6 +107,11 @@ MAX_TERMS = 64  # terms of one section polynomial
 # bits of a rational's numerator and of its denominator, and of an explicit
 # operator's shared denominator and of each numerator over it
 MAX_BITS = 2048
+# absolute decimal exponent of a rational written as a string: no mantissa
+# Python parses (4300 digits at most) brings a value past it within MAX_BITS
+MAX_EXPONENT = 10_000
+# the exponent digits of a decimal string, as Fraction() spells them
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _check_bits(bits: int, what: str) -> None:
@@ -209,7 +221,7 @@ def _section(i: int, spec) -> Section:
     if len(spec) > MAX_TERMS:
         raise ScenarioError(f"sections[{i}] may have at most {MAX_TERMS} terms, got {len(spec)}")
     try:
-        return Section(spec)
+        return Section({m: _fraction(str(c), f"sections[{i}]") for m, c in spec.items()})
     except (ValueError, KeyError) as e:
         raise ScenarioError(f"sections[{i}]: {e}") from e
 

@@ -100,11 +100,8 @@ class Ring:
 
     # -- element constructors: ring elements are 0-forms -----------------
 
-    def zero(self) -> "DifferentialForm":
-        return DifferentialForm(self, 0, {})
-
     def const(self, c) -> "DifferentialForm":
-        return DifferentialForm(self, 0, {((), (), 0): c})
+        return self.monomial({}, 0, c)
 
     def one(self) -> "DifferentialForm":
         return self.const(1)
@@ -115,14 +112,17 @@ class Ring:
 
     def exp(self, s: int = 1) -> "DifferentialForm":
         """e^{s * exponent}."""
-        return DifferentialForm(self, 0, {((), (), int(s)): 1})
+        return self.monomial({}, s)
 
     def monomial(self, powers: dict[str, int], s: int = 0, c=1) -> "DifferentialForm":
+        """c * prod v^e * e^{s * exponent}, for any c that Fraction() takes:
+        c becomes an int or a Fraction here, and a zero c the zero form."""
         mono = tuple(sorted((self.index(v), e) for v, e in powers.items() if e))
         for _i, e in mono:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        return DifferentialForm(self, 0, {((), mono, int(s)): c})
+        c = _coeff(c)
+        return DifferentialForm(self, 0, {((), mono, int(s)): c} if c else {})
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -177,34 +177,21 @@ class DifferentialForm:
 
     terms maps (wedge, monomial, s) to the nonzero coefficient c of the term
     c * monomial * e^{s*exponent} * d(wedge): an int where c is integral, a
-    Fraction where it is not.  A 0-form is a ring element, and * is the
-    wedge product.
+    Fraction where it is not.  The constructor takes terms as given; a raw
+    coefficient enters only by `Ring.monomial`.  A 0-form is a ring element,
+    and * is the wedge product.
     """
 
     __slots__ = ("ring", "degree", "terms")
 
-    def __init__(self, ring: Ring, degree: int, terms: dict):
-        for w, _m, _s in terms:
-            if len(w) != degree:
-                raise ValueError(f"wedge {w} has wrong length for degree {degree}")
+    def __init__(self, ring: Ring, degree: int, terms: dict[TermKey, Coeff]):
         self.ring = ring
         self.degree = degree
-        self.terms = {k: _coeff(v) for k, v in terms.items() if v}
-
-    @classmethod
-    def _result(cls, ring: Ring, degree: int, terms: dict[TermKey, Coeff]) -> "DifferentialForm":
-        """A result of form arithmetic, taken as it is: its wedges have length
-        `degree` and its coefficients are nonzero ints or Fractions by
-        construction, so none of that is checked again."""
-        form = object.__new__(cls)
-        form.ring = ring
-        form.degree = degree
-        form.terms = terms
-        return form
+        self.terms = terms
 
     @classmethod
     def zero(cls, ring: Ring, degree: int) -> "DifferentialForm":
-        return cls._result(ring, degree, {})
+        return cls(ring, degree, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -218,9 +205,6 @@ class DifferentialForm:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("forms are not hashable")
-
     def _require(self, other: "DifferentialForm") -> None:
         if self.ring is not other.ring:
             raise ValueError("forms from different rings")
@@ -232,13 +216,13 @@ class DifferentialForm:
         out = dict(self.terms)
         for k, v in other.terms.items():
             _add_term(out, k, v)
-        return DifferentialForm._result(self.ring, self.degree, out)
+        return DifferentialForm(self.ring, self.degree, out)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + -other
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm._result(
+        return DifferentialForm(
             self.ring, self.degree, {k: -v for k, v in self.terms.items()}
         )
 
@@ -246,7 +230,7 @@ class DifferentialForm:
         c = _coeff(c)
         if not c:
             return DifferentialForm.zero(self.ring, self.degree)
-        return DifferentialForm._result(
+        return DifferentialForm(
             self.ring, self.degree, {k: _coeff(c * v) for k, v in self.terms.items()}
         )
 
@@ -261,7 +245,7 @@ class DifferentialForm:
                 if sign:
                     v = _coeff(ca * cb)
                     _add_term(out, (w, _mono_mul(ma, mb), sa + sb), v if sign > 0 else -v)
-        return DifferentialForm._result(self.ring, self.degree + other.degree, out)
+        return DifferentialForm(self.ring, self.degree + other.degree, out)
 
     def power(self, e: int) -> "DifferentialForm":
         if e < 0:
@@ -286,7 +270,7 @@ class DifferentialForm:
             if s and dexp is not None:
                 for (_w, m2, s2), c2 in dexp.terms.items():
                     _add_term(out, (w, _mono_mul(mono, m2), s + s2), _coeff(c * s * c2))
-        return DifferentialForm._result(ring, self.degree, out)
+        return DifferentialForm(ring, self.degree, out)
 
     def l1(self) -> Coeff:
         return _coeff(sum(abs(v) for v in self.terms.values()))
@@ -388,7 +372,7 @@ def base_ideal() -> tuple[DifferentialForm, ...]:
 
 def parse_polynomial(spec: dict, ring: Ring) -> DifferentialForm:
     """Polynomial from {"x^2*y": "3/2", "1": 2, ...} over the given ring."""
-    acc = ring.zero()
+    acc = DifferentialForm.zero(ring, 0)
     for mono_s, coeff in spec.items():
         powers: dict[str, int] = {}
         text = mono_s.strip()

@@ -248,9 +248,6 @@ class Operator:
             return False
         return bool((self._arr == other._arr).all())
 
-    def __hash__(self):
-        raise TypeError("operators are not hashable")
-
     def __repr__(self) -> str:
         return f"Operator({self.dim}x{self.dim}, {self.mode})"
 

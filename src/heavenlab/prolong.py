@@ -45,7 +45,6 @@ from .besselop import (
     bessel_eval,
     bessel_series,
     bessel_tail,
-    bessel_terms,
     scalar_bessel_majorant,
     series_eval,
 )
@@ -132,16 +131,8 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         raise ValueError("degree must be >= 0")
     if A.dim != ctx.L.dim or A.mode != ctx.L.mode:
         raise DimensionMismatchError("A incompatible with context")
-    series = bessel_coeffs(ad_tower(ctx, A, D), nu, D)
-    twoL = 2.0 * frobenius(ctx.L)
-    nA = frobenius(A)
-
-    def tail(t_abs: float) -> float:
-        # ||ad_L^j[A]|| <= (2||L||)^j ||A||, so the argument scales as t ||L||
-        return nA * bessel_tail(t_abs * twoL / 2.0, nu, D)
-
-    series.tail_fn = tail
-    return series
+    # ||ad_L^j[A]|| <= (2||L||)^j ||A||
+    return bessel_coeffs(ad_tower(ctx, A, D), nu, D, 2.0 * frobenius(ctx.L), frobenius(A))
 
 
 class CouplingError(ValueError):
@@ -183,8 +174,7 @@ def solution_cal_form(inst: ProlongationInstance, D: int) -> CalSolution:
     ctx = AdjointContext(inst.L)
     p_inner = cal_bessel(ctx, inst.P0, 1, D - 1)
     p = p_inner.shift(1).scale(Fraction(1, 2))
-    inner_tail = p_inner.tail_fn
-    p.tail_fn = (lambda t_abs: 0.5 * t_abs * inner_tail(t_abs)) if inner_tail else None
+    p.tail_fn = lambda t_abs: 0.5 * t_abs * p_inner.tail_fn(t_abs)
     m = cal_bessel(ctx, inst.M0, 0, D)
     return CalSolution(p=p, m=m, ctx=ctx)
 
@@ -260,8 +250,9 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
         kind "P2": t S'' - S' + t ad_L^2[S]
         kind "M2": t S'' + S' + t ad_L^2[S]
 
-    The returned series is complete (every reachable coefficient computed)
-    through degree D-1 for input degree D; the caller asserts those vanish.
+    For input degree D the returned series stops at degree D-1, where t S''
+    and S' stop (a sum keeps the lower degree), and is complete through it;
+    the caller asserts those coefficients vanish.
     """
     if kind not in ("P2", "M2"):
         raise ValueError("kind must be 'P2' or 'M2'")
@@ -275,8 +266,7 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
     d2 = d1.derivative()
     ad2 = S.map_coeffs(lambda c: ad_apply(ctx, ad_apply(ctx, c)))
     t_d2 = d2.shift(1)
-    resid = (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
-    return resid.truncate(S.degree - 1)
+    return (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
 
 
 def ode_residual_bound(
@@ -528,8 +518,8 @@ def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> SolutionA
     Mt, _ = series_eval(sol.m.derivative(), t)
     twoL = 2.0 * frobenius(fi.L)
     rr = t * twoL / 2.0
-    dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, frobenius(fi.P0), twoL, t)
-    dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, frobenius(fi.M0), twoL, t)
+    dp_tail = _cal_derivative_tail(rr, 1, sol.p.degree, frobenius(fi.P0), t)
+    dm_tail = _cal_derivative_tail(rr, 0, sol.m.degree, frobenius(fi.M0), t)
     half_t = t / 2.0
     return SolutionAt(
         u=float(u),
@@ -545,9 +535,7 @@ def eval_at_u(fi: ProlongationInstance, sol: CalSolution, u: float) -> SolutionA
     )
 
 
-def _cal_derivative_tail(
-    r: float, nu: int, D: int, nA: float, twoL: float, t_abs: float
-) -> float:
+def _cal_derivative_tail(r: float, nu: int, D: int, nA: float, t_abs: float) -> float:
     """Majorant for the dropped tail of d/dt of a cal series at |t|.
 
     Terms of J_nu(t ad_L)[A] have degree nu+2m and norm <=
@@ -586,31 +574,30 @@ def compatibility_check(inst: ProlongationInstance) -> VerificationReport:
     """
     if inst.mode != EXACT:
         raise ValueError("compatibility_check needs the exact instance")
-    checks = (
+    return _exact_zero_report("compatibility", inst.name, (
         ("coupling", "[L, P0] = [L, M0]", inst.coupling_residual()),
         ("ad-commutation", "[[L, M0], M0] = 0", commutator(commutator(inst.L, inst.M0), inst.M0)),
-    )
-    records = tuple(
-        make_record(cid, "compatibility", eq, frobenius(op), 0.0, detail=inst.name)
-        for cid, eq, op in checks
-    )
-    return VerificationReport(name=f"compatibility:{inst.name}", records=records)
+    ))
 
 
 def initial_condition_check(inst: ProlongationInstance, D: int) -> VerificationReport:
     """P(0) = 0, P_t(0) = 0, M(0) = M0, M_t(0) = 0, as exact coefficient facts."""
     sol = solution_cal_form(inst, D)
-    checks = (
+    return _exact_zero_report("initial-conditions", inst.name, (
         ("P(0)=0", "P(0) = 0", sol.p.coefficient(0)),
         ("P_t(0)=0", "P_t(0) = 0", sol.p.coefficient(1)),
         ("M(0)=M0", "M(0) = M0", sol.m.coefficient(0) - inst.M0),
         ("M_t(0)=0", "M_t(0) = 0", sol.m.coefficient(1)),
-    )
+    ))
+
+
+def _exact_zero_report(suite: str, name: str, checks) -> VerificationReport:
+    """Report `suite:name` with one record per (id, equation, operator) of
+    `checks`: the operator's norm against bound 0."""
     records = tuple(
-        make_record(cid, "initial-conditions", eq, frobenius(op), 0.0, detail=inst.name)
-        for cid, eq, op in checks
+        make_record(cid, suite, eq, frobenius(op), 0.0, detail=name) for cid, eq, op in checks
     )
-    return VerificationReport(name=f"initial-conditions:{inst.name}", records=records)
+    return VerificationReport(name=f"{suite}:{name}", records=records)
 
 
 def scalar_reduction(omega, p0, m0, t, D: int):
@@ -618,20 +605,24 @@ def scalar_reduction(omega, p0, m0, t, D: int):
 
     Computed with exact rational arithmetic throughout (float inputs are
     binary rationals and convert exactly), truncated at overall t-degree D,
-    and rounded at most once on output.  Matches the 1x1 operator pipeline
-    exactly in exact mode because exact arithmetic is order-independent.
+    and rounded at most once on output.  Each J_nu(x) = sum_j a_j x^{nu+2j}
+    is summed from its own term ratio, a_0 = 1/(2^nu nu!) and
+    a_{j+1}/a_j = -1/(4(j+1)(j+1+nu)), not from `bessel_terms`, so that
+    `scalar_check` compares two independent routes.
     """
     wants_float = any(isinstance(x, float) for x in (omega, p0, m0, t))
-    w = Fraction(omega)
     p0f, m0f, tf = Fraction(p0), Fraction(m0), Fraction(t)
-    x_pow: list[Fraction] = [Fraction(1)]  # (t w)^deg by repeated multiplication
-    tw = tf * w
-    for _ in range(D):
-        x_pow.append(x_pow[-1] * tw)
-    # bessel_terms carries the (1/2)^{deg} factor, so pairing it with plain
-    # x^deg monomials reproduces the classical (x/2)-power series
-    j0 = sum((q * x_pow[deg] for deg, q in bessel_terms(0, D)), Fraction(0))
-    j1 = sum((q * x_pow[deg] for deg, q in bessel_terms(1, D)), Fraction(0))
+    x = tf * Fraction(omega)
+    minus_x2 = -x * x
+
+    def classical(nu: int) -> Fraction:
+        term, total = x**nu / (2**nu * math.factorial(nu)), Fraction(0)
+        for j in range((D - nu) // 2 + 1):
+            total += term
+            term *= minus_x2 / (4 * (j + 1) * (j + 1 + nu))
+        return total
+
+    j0, j1 = classical(0), classical(1)
     kappa = p0f * (tf / 2) * j1
     chi = m0f * j0
     if wants_float:

@@ -329,7 +329,6 @@ def test_float_series_arithmetic_matches_per_coefficient_operators(
     _same_bits(a.scale(scalar), [c.scale(scalar) for c in ca])
     _same_bits(a.lmul(op), [op @ c for c in ca])
     _same_bits(a.shift(k), [Operator.zero(n, FLOAT)] * k + ca)
-    _same_bits(a.truncate(Db), ca[: Db + 1])
     derivative = [c.scale(j) for j, c in enumerate(ca)][1:] or [Operator.zero(n, FLOAT)]
     _same_bits(a.derivative(), derivative)
     assert a.max_coeff_norm(through) == max(frobenius(c) for c in ca[: through + 1])
@@ -439,17 +438,31 @@ def test_bessel_eval_direct_vs_series_route():
 
 
 def test_bessel_coeffs_over_any_tower():
-    """Coefficients are the tower's entries scaled by bessel_terms, zero elsewhere."""
+    """Coefficients are the tower's entries scaled by bessel_terms, zero
+    elsewhere, and the tail is norm * bessel_tail at |t| rate / 2."""
     rng = random.Random(310)
     for mode, make in ((EXACT, random_rational_operator), (FLOAT, random_float_operator)):
         tower = [make(rng, 2) for _ in range(9)]
         for m in (-3, 0, 1, 2):
-            series = bessel_coeffs(tower, m, 8)
+            series = bessel_coeffs(tower, m, 8, 3.0, 0.5)
             terms = dict(bessel_terms(m, 8))
-            assert series.degree == 8 and series.mode == mode and series.tail_fn is None
+            assert series.degree == 8 and series.mode == mode
             for deg, c in enumerate(series.coeffs):
                 want = tower[deg].scale(terms[deg]) if deg in terms else Operator.zero(2, mode)
                 assert c == want, (mode, m, deg)
+            for t_abs in (0.0, 0.5, 2.0):
+                assert series.tail_fn(t_abs) == 0.5 * bessel_tail(t_abs * 3.0 / 2.0, m, 8)
+
+
+def test_bessel_terms_match_sympy_series():
+    """bessel_terms(m, 32) are the coefficients of sympy's series of J_m(x),
+    which sympy derives on its own."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(-6, 7):
+        poly = sympy.Poly(sympy.besselj(m, x).series(x, 0, 33).removeO(), x)
+        want = {deg: Fraction(int(c.p), int(c.q)) for (deg,), c in poly.terms()}
+        assert dict(bessel_terms(m, 32)) == want, m
 
 
 # -- tail majorants ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Scenario parsing, suite dispatch, exit codes, report determinism."""
 import json
 import os
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -698,6 +700,30 @@ def test_main_refuses_a_value_past_its_limit(tmp_path, capsys, monkeypatch, key,
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("t_samples", ["1e-4000000"], "t_samples: a decimal exponent may be at most"),
+    # 0 with such an exponent is refused too, before Fraction builds 10**e
+    ("scalar", {"omega": "0e4000000"}, "scalar.omega: a decimal exponent may be at most"),
+    # section coefficients get the limits of every other rational
+    ("sections", [{"x*z": "1e-200000"}], "sections[0]: a decimal exponent may be at most"),
+    ("sections", [{"x*z": "1e-1000"}], "sections[0]: numerators and denominators may have"),
+])
+def test_main_refuses_a_long_exponent_at_once(tmp_path, capsys, monkeypatch, key, value, message):
+    monkeypatch.setattr(cli, "run_suite", _no_suite)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**HEIS, key: value}))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1E+0_000_1", " 15e-1 ", "1e0_000000_1", "2.5e+000000000000003", "7e-3"])
+def test_fraction_reads_each_exponent_spelling_within_the_bound(text):
+    assert cli._fraction(text, "t_samples") == Fraction(text)
 
 
 def _long_lists(entry):

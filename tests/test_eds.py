@@ -223,7 +223,7 @@ def _assert_coefficients(values) -> None:
 def test_form_coefficients_are_int_or_fraction():
     rng = random.Random(21)
     forms = [_random_form(rng, R, d) for d in (0, 1, 1, 2) for _ in range(15)]
-    forms += [R.const(c) for c in (2, Fraction(4, 2), 1.5, "-3/6", 0.25)]
+    forms += [R.const(c) for c in (2, Fraction(4, 2), 1.5, "-3/6", 0.25, 0)]
     forms += list(base_ideal())
     out = []
     for a, b in zip(forms, forms[1:]):
@@ -234,6 +234,7 @@ def test_form_coefficients_are_int_or_fraction():
     out += [sec.pullback(th) for th in base_ideal()] + [sec.pullback(ext_d(f)) for f in forms]
     for form in forms + out:
         _assert_coefficients(form.terms.values())
+        assert all(form.terms.values()), "a zero coefficient is stored"
     # the ideal is integral, and so are the exterior derivatives of its generators
     for th in base_ideal():
         assert all(type(c) is int for c in ext_d(th).terms.values())

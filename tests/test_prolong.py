@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
+from heavenlab import besselop, prolong
 from heavenlab.adjoint import AdjointContext
 from heavenlab.besselop import bessel_series, series_eval
 from heavenlab.eds import constraint_residuals
@@ -20,6 +21,7 @@ from heavenlab.prolong import (
     initial_condition_check,
     ode_residual,
     prolongation_residual,
+    scalar_check,
     scalar_reduction,
     solution_L_form,
     solution_cal_form,
@@ -58,6 +60,20 @@ def test_scalar_reduction_equals_1x1_operator_route_exactly():
     v0, _ = series_eval(bessel_series(X, 0, D), t)
     assert kappa == p0 * (t / 2) * v1.entry(0, 0)
     assert chi == m0 * v0.entry(0, 0)
+
+
+def test_scalar_check_fails_on_a_wrong_bessel_coefficient(monkeypatch):
+    """scalar_reduction shares no coefficient routine with the operator
+    route: doubling every bessel_terms coefficient from degree 3 fails every
+    record."""
+    terms = besselop.bessel_terms
+    doubled = lambda m, D: ((deg, 2 * q if deg >= 3 else q) for deg, q in terms(m, D))
+    # wherever the routine is bound, so that no route keeps the right one
+    monkeypatch.setattr(besselop, "bessel_terms", doubled)
+    monkeypatch.setattr(prolong, "bessel_terms", doubled, raising=False)
+    t_samples = (Fraction(1, 2), Fraction(1), Fraction(2))
+    report = scalar_check(Fraction(3, 2), Fraction(1), Fraction(1), t_samples, 16)
+    assert len(report.records) == 6 and all(r.failed() for r in report.records)
 
 
 def test_diag_eigen_oracle():
