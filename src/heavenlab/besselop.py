@@ -34,7 +34,7 @@ import cmath
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,38 +83,30 @@ class OperatorSeries:
     __slots__ = ("_arr", "_coeffs", "dim", "mode", "tail_fn")
 
     def __init__(self, coeffs: Sequence[Operator]):
+        """The series with these coefficients, which the caller takes from
+        one tower or one series' arithmetic: they share dimension and mode."""
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        dim, mode = coeffs[0].dim, coeffs[0].mode
-        for c in coeffs:
-            if c.dim != dim:
-                raise DimensionMismatchError("series coefficients must share dimension")
-            if c.mode != mode:
-                raise ModeMismatchError("series coefficients must share mode")
         self._arr = None
-        if mode == FLOAT:
+        self.mode = coeffs[0].mode
+        if self.mode == FLOAT:
             self._arr = np.stack([c._arr for c in coeffs])
             self._arr.setflags(write=False)
         self._coeffs = coeffs
-        self.dim = dim
-        self.mode = mode
+        self.dim = coeffs[0].dim
         self.tail_fn = None
 
     @classmethod
-    def _frozen(cls, arr: np.ndarray) -> "OperatorSeries":
-        """A float series over the (D+1, n, n) array the caller hands over."""
+    def _checked(cls, arr: np.ndarray) -> "OperatorSeries":
+        """A float series over the (D+1, n, n) array the caller hands over:
+        refused if any entry is inf or nan."""
         if not len(arr):
             raise ValueError("series needs at least the constant coefficient")
-        arr.setflags(write=False)
+        check_finite(arr).setflags(write=False)
         s = object.__new__(cls)
         s._arr, s._coeffs, s.dim, s.mode, s.tail_fn = arr, None, arr.shape[1], FLOAT, None
         return s
-
-    @classmethod
-    def _checked(cls, arr: np.ndarray) -> "OperatorSeries":
-        """A float series over `arr`: refused if any entry is inf or nan."""
-        return cls._frozen(check_finite(arr))
 
     @property
     def coeffs(self) -> tuple[Operator, ...]:
@@ -168,9 +160,6 @@ class OperatorSeries:
         # one np.dot per degree, the product Operator.__matmul__ forms
         return OperatorSeries._checked(np.stack([np.dot(op._arr, c) for c in self._arr]))
 
-    def map_coeffs(self, f: Callable[[Operator], Operator]) -> "OperatorSeries":
-        return OperatorSeries([f(c) for c in self.coeffs])
-
     def shift(self, k: int) -> "OperatorSeries":
         """Multiply by t^k (k >= 0), extending the stored degree by k."""
         if k < 0:
@@ -179,7 +168,7 @@ class OperatorSeries:
             z = Operator.zero(self.dim, self.mode)
             return OperatorSeries([z] * k + list(self.coeffs))
         arr = self._arr
-        return OperatorSeries._frozen(
+        return OperatorSeries._checked(
             np.concatenate((np.zeros((k,) + arr.shape[1:], arr.dtype), arr))
         )
 
@@ -200,24 +189,30 @@ class OperatorSeries:
         return max(frobenius_stack(self._arr[: hi + 1]))
 
 
+def _tower_sum(tower: Sequence[Operator], terms, t) -> Operator:
+    """sum of tower[deg] scaled by q t^deg over the (deg, q) of `terms`, in
+    their order, from the zero operator; t is a scalar of the tower's mode."""
+    acc = Operator.zero(tower[0].dim, tower[0].mode)
+    for deg, q in terms:
+        acc = acc + tower[deg].scale(q * t**deg)
+    return acc
+
+
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
     """The series at t, taken in the series' mode by `mode_scalar`, and its tail.
 
-    Exact mode sums c_j t^j over the nonzero coefficients only.  Exact
-    arithmetic makes this equal to Horner's rule, and an exact Operator is
-    canonical, so the result is bit-identical; but it never rescales a dense
-    accumulator once per degree.  Float mode keeps Horner, on the raw
+    Exact mode sums c_j t^j over the nonzero coefficients only (`_tower_sum`).
+    Exact arithmetic makes this equal to Horner's rule, and an exact Operator
+    is canonical, so the result is bit-identical; but it never rescales a
+    dense accumulator once per degree.  Float mode keeps Horner, on the raw
     coefficient array: its rounding is what the float checks bound.  An inf
     or nan stays non-finite under * and +, so one finiteness check of the
     result catches an overflow at any step.
     """
     t = mode_scalar(t, s.mode)
     if s.mode == EXACT:
-        acc = s.coeffs[0]
-        for j in range(1, s.degree + 1):
-            c = s.coeffs[j]
-            if not c.is_zero():
-                acc = acc + c.scale(t**j)
+        nonzero = ((j, 1) for j, c in enumerate(s.coeffs) if not c.is_zero())
+        acc = _tower_sum(s.coeffs, nonzero, t)
     else:
         arr = s._arr
         acc = arr[-1]
@@ -353,12 +348,8 @@ def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:
     every index would repeat work.  Summation is in ascending degree, matching
     the series construction.
     """
-    mode = X_powers[0].mode
-    acc = Operator.zero(X_powers[0].dim, mode)
-    t = mode_scalar(t, mode)
-    for deg, q in bessel_terms(m, len(X_powers) - 1):
-        acc = acc + X_powers[deg].scale(q * t**deg)
-    return acc
+    t = mode_scalar(t, X_powers[0].mode)
+    return _tower_sum(X_powers, bessel_terms(m, len(X_powers) - 1), t)
 
 
 def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operator:
@@ -511,10 +502,7 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
             for deg, q in bessel_terms(m_idx, D):
                 s[deg] += q
             tail_sum += bessel_tail(r, m_idx, D)
-        resid_op = Operator.zero(X.dim, EXACT)
-        for deg, sd in enumerate(s):
-            if sd:
-                resid_op = resid_op + powers[deg].scale(sd * t**deg)
+        resid_op = _tower_sum(powers, ((deg, sd) for deg, sd in enumerate(s) if sd), t)
         return frobenius(resid_op), bilateral_tail(r, K) + tail_sum
     acc = Operator.zero(X.dim, X.mode)
     for m_idx in range(-K, K + 1):

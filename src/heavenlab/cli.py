@@ -221,7 +221,7 @@ def _section(i: int, spec) -> Section:
     if len(spec) > MAX_TERMS:
         raise ScenarioError(f"sections[{i}] may have at most {MAX_TERMS} terms, got {len(spec)}")
     try:
-        return Section({m: _fraction(str(c), f"sections[{i}]") for m, c in spec.items()})
+        return Section({m: _fraction(c, f"sections[{i}]") for m, c in spec.items()})
     except (ValueError, KeyError) as e:
         raise ScenarioError(f"sections[{i}]: {e}") from e
 

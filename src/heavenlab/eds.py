@@ -226,14 +226,6 @@ class DifferentialForm:
             self.ring, self.degree, {k: -v for k, v in self.terms.items()}
         )
 
-    def scale(self, c) -> "DifferentialForm":
-        c = _coeff(c)
-        if not c:
-            return DifferentialForm.zero(self.ring, self.degree)
-        return DifferentialForm(
-            self.ring, self.degree, {k: _coeff(c * v) for k, v in self.terms.items()}
-        )
-
     def __mul__(self, other: "DifferentialForm") -> "DifferentialForm":
         """Wedge product; for 0-forms, the ring product."""
         if self.ring is not other.ring:

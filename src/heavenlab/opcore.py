@@ -187,22 +187,14 @@ class Operator:
         """Matrix unit e_{ij} (1 at row i, column j, zero-based)."""
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"unit index ({i},{j}) outside dimension {n}")
-        if mode == EXACT:
-            num = np.zeros((n, n), dtype=object)
-            num[i, j] = 1
-            return cls._exact(num, 1)
-        arr = np.zeros((n, n), dtype=np.float64)
-        arr[i, j] = 1.0
-        return cls._float(arr)
+        return cls.from_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)], mode)
 
     @classmethod
     def diag(cls, entries: Sequence[ScalarLike], mode: str = EXACT) -> "Operator":
         n = len(entries)
-        if mode == EXACT:
-            return cls.from_rows(
-                [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)], EXACT
-            )
-        return cls._checked(np.diag(np.array([float(x) for x in entries], dtype=np.float64)))
+        return cls.from_rows(
+            [[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)], mode
+        )
 
     # -- basic queries -----------------------------------------------------
 

@@ -202,13 +202,13 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
     mode = inst.mode
     t = mode_scalar(t, mode)
     L_powers = powers(inst.L, D)
-    J: dict[int, Operator] = {
-        k: bessel_eval(L_powers, k, t) for k in range(-K - 1, K + 2)
-    }
+    # the sums below read index k and k + 1 for -K <= k <= K
+    ks = range(-K, K + 2)
+    J: dict[int, Operator] = {k: bessel_eval(L_powers, k, t) for k in ks}
     t_abs = abs(float(t))
     r = t_abs * frobenius(inst.L) / 2.0
-    g = {k: scalar_bessel_majorant(r, k) for k in range(-K - 2, K + 3)}
-    tau = {k: bessel_tail(r, k, D) for k in range(-K - 2, K + 3)}
+    g = {k: scalar_bessel_majorant(r, k) for k in ks}
+    tau = {k: bessel_tail(r, k, D) for k in ks}
 
     m_acc = Operator.zero(inst.dim, mode)
     p_acc = Operator.zero(inst.dim, mode)
@@ -264,7 +264,7 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
         raise ValueError("series degree must be >= 2")
     d1 = S.derivative()
     d2 = d1.derivative()
-    ad2 = S.map_coeffs(lambda c: ad_apply(ctx, ad_apply(ctx, c)))
+    ad2 = OperatorSeries([ad_apply(ctx, ad_apply(ctx, c)) for c in S.coeffs])
     t_d2 = d2.shift(1)
     return (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
 

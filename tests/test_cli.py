@@ -294,6 +294,18 @@ def test_parse_accepts_integral_float_for_integer_keys():
     assert sc.degree == 12 and isinstance(sc.degree, int) and sc.seed == 5
 
 
+def test_parse_reads_a_json_float_as_one_number_in_every_key():
+    # a JSON number is the exact value of its float; a quoted decimal is read as written
+    sc = parse_scenario(
+        json.dumps({"name": "x", "t_samples": [0.1], "sections": [{"x*z": 0.1, "y": "0.1"}]})
+    )
+    t = sc.t_samples[0]
+    assert t == Fraction(0.1) != Fraction(1, 10)
+    f = cli._section(0, sc.sections[0]).f
+    R = f.ring
+    assert f == R.monomial({"x": 1, "z": 1}, 0, t) + R.monomial({"y": 1}, 0, Fraction(1, 10))
+
+
 def test_main_verify_missing_file():
     assert main(["verify", "/does/not/exist.json"]) == 2
 

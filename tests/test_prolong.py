@@ -178,6 +178,19 @@ def test_cal_form_equals_L_form_float():
         assert frobenius(mc - lf.m) <= mtb.value + lf.m_tail + roundoff
 
 
+def test_L_form_builds_only_the_indices_its_sums_read(monkeypatch):
+    # the sums over |k| <= K read J_k and J_{k+1}
+    asked = []
+
+    def recording(X_powers, m, t):
+        asked.append(m)
+        return besselop.bessel_eval(X_powers, m, t)
+
+    monkeypatch.setattr(prolong, "bessel_eval", recording)
+    solution_L_form(catalog_instance("diag2"), Fraction(1, 2), 3, 12)
+    assert sorted(asked) == list(range(-3, 5))
+
+
 def test_L_form_requires_positive_cutoff():
     inst = catalog_instance("diag2")
     with pytest.raises(ValueError):
