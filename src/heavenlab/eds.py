@@ -375,7 +375,7 @@ def parse_polynomial(spec: dict, ring: Ring) -> DifferentialForm:
                     powers[v] = powers.get(v, 0) + int(e)
                 else:
                     powers[factor] = powers.get(factor, 0) + 1
-        acc = acc + ring.monomial(powers, 0, Fraction(str(coeff)))
+        acc = acc + ring.monomial(powers, 0, coeff)
     return acc
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from heavenlab import cli
+from heavenlab import cli, eds
 from heavenlab.cli import (
     INSTANCE_FREE,
     SUITES,
@@ -59,8 +59,10 @@ def test_parse_rejects_integer_past_digit_limit():
 
 
 def test_parse_rejects_unknown_keys():
-    with pytest.raises(ScenarioError, match="unknown scenario keys"):
-        parse_scenario(json.dumps({"name": "x", "wat": 1}))
+    # the fields a Scenario builds from its keys are no scenario keys
+    for key in ("wat", "built_sections", "built_scalar", "built_instance"):
+        with pytest.raises(ScenarioError, match="unknown scenario keys"):
+            parse_scenario(json.dumps({"name": "x", key: 1}))
 
 
 def test_parse_rejects_unknown_suites():
@@ -301,9 +303,32 @@ def test_parse_reads_a_json_float_as_one_number_in_every_key():
     )
     t = sc.t_samples[0]
     assert t == Fraction(0.1) != Fraction(1, 10)
-    f = cli._section(0, sc.sections[0]).f
+    f = sc.built_sections[0].f
     R = f.ring
     assert f == R.monomial({"x": 1, "z": 1}, 0, t) + R.monomial({"y": 1}, 0, Fraction(1, 10))
+
+
+def test_main_builds_each_section_and_the_scalar_arguments_once(tmp_path, monkeypatch):
+    built = {"Section": 0, "_scalar_args": 0}
+    section_init, scalar_args = eds.Section.__init__, cli._scalar_args
+
+    def counting_section_init(self, *args):
+        built["Section"] += 1
+        section_init(self, *args)
+
+    def counting_scalar_args(*args):
+        built["_scalar_args"] += 1
+        return scalar_args(*args)
+
+    monkeypatch.setattr(eds.Section, "__init__", counting_section_init)
+    monkeypatch.setattr(cli, "_scalar_args", counting_scalar_args)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "name": "x", "sections": [{"x^2": 1}, {"y*z": "1/3"}], "scalar": {"omega": 2},
+    }))
+    assert main(["verify", str(path)]) == 0
+    # the 2 given sections, and the 3 random ones of eds-proposition1
+    assert built == {"Section": 5, "_scalar_args": 1}
 
 
 def test_main_verify_missing_file():
@@ -466,6 +491,36 @@ def test_main_records_numeric_breakdown_as_failure(tmp_path, capsys, suite, doc,
     assert check["check_id"] == "numeric-breakdown" and check["suite"] == suite
     assert check["verdict"] == "fail"
     assert detail in check["detail"]
+
+
+_OVERFLOW = {
+    "name": "overflow",
+    "degree": 8,
+    "instance": {"operators": {
+        "L": [["1e400", 0], [0, 0]], "M0": [[0, 1], [0, 0]], "P0": [[0, 1], [0, 0]],
+    }},
+}
+_TOO_LARGE = "OverflowError: integer division result too large for a float"
+
+
+# L's entry 10^400 is exact, but no float holds it: each suite that converts
+# the instance to floats records that once, in place of its own checks
+@pytest.mark.parametrize("mode, broken", [
+    ("float", [s for s in SUITES if s not in (*INSTANCE_FREE, "compatibility")]),
+    ("exact", ["bch", "prolongation", "eds-constraints"]),
+])
+def test_main_records_float_conversion_overflow_per_suite(tmp_path, capsys, mode, broken):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**_OVERFLOW, "mode": mode}))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--format", "structured", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    for suite in broken:
+        (check,) = [c for c in checks if c["suite"] == suite]
+        assert check["check_id"] == "numeric-breakdown" and _TOO_LARGE in check["detail"]
+    compat = [c for c in checks if c["suite"] == "compatibility"]
+    assert len(compat) == 2 and all(c["verdict"] == "pass" for c in compat)
 
 
 def test_main_rejects_singular_B(tmp_path, capsys):

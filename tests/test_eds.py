@@ -340,6 +340,12 @@ def test_membership_rejects_large_degree_gap():
 # -- pullback along jet sections ----------------------------------------------------
 
 
+def test_section_reads_a_float_coefficient_as_ring_monomial_does():
+    # its exact binary value, not the decimal its str prints; each Section has
+    # a ring of its own, so the terms are compared
+    assert Section({"x*z": 0.1}).f.terms == Section({"x*z": Fraction(0.1)}).f.terms
+
+
 def test_proposition1_zero_section():
     rep = check_proposition1(Section({"1": "0"}))
     assert rep.all_passed()
