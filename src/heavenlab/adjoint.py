@@ -6,9 +6,10 @@ conjugation series alike.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
-from .opcore import FLOAT, ModeMismatchError, Operator, commutator, frobenius
+from .opcore import FLOAT, ModeMismatchError, Operator, combination, commutator, frobenius
 
 
 class AdjointContext:
@@ -42,13 +43,12 @@ def bch_series(ctx: AdjointContext, a0: Operator, t: float, degree: int) -> Oper
         raise ModeMismatchError("bch_series requires float mode")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    acc = Operator.zero(ctx.L.dim, FLOAT)
-    coeff = complex(1.0)
-    for n, term in enumerate(ad_tower(ctx, a0, degree)):
-        if n > 0:
-            coeff = coeff * (1j * t) / n
-        acc = acc + term.scale(coeff)
-    return acc
+    tower = ad_tower(ctx, a0, degree)
+    # (it)^n/n!, each from the last
+    coeffs = itertools.accumulate(
+        range(1, degree + 1), lambda c, n: c * (1j * t) / n, initial=complex(1.0)
+    )
+    return combination(Operator.zero(ctx.L.dim, FLOAT), zip(tower, coeffs))
 
 
 def bch_remainder_bound(ctx: AdjointContext, a0: Operator, t: float, degree: int) -> float:

@@ -31,6 +31,7 @@ because the roundoff of those routes is what the float bounds cover.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .opcore import (
     ModeMismatchError,
     Operator,
     check_finite,
+    combination,
     frobenius,
     frobenius_stack,
     mode_scalar,
@@ -191,11 +193,11 @@ class OperatorSeries:
 
 def _tower_sum(tower: Sequence[Operator], terms, t) -> Operator:
     """sum of tower[deg] scaled by q t^deg over the (deg, q) of `terms`, in
-    their order, from the zero operator; t is a scalar of the tower's mode."""
-    acc = Operator.zero(tower[0].dim, tower[0].mode)
-    for deg, q in terms:
-        acc = acc + tower[deg].scale(q * t**deg)
-    return acc
+    their order, from the zero operator (`opcore.combination`); t is a
+    scalar of the tower's mode."""
+    first = tower[0]
+    pairs = ((tower[deg], q * t**deg) for deg, q in terms)
+    return combination(Operator.zero(first.dim, first.mode), pairs)
 
 
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
@@ -228,15 +230,23 @@ def bessel_terms(m: int, D: int) -> Iterator[tuple[int, Fraction]]:
     """(deg, q) with J_m(tX) = sum q t^deg X^deg, for deg <= D, ascending deg.
 
     At deg = |m| + 2j, q = (-1)^j / (j! (j+|m|)! 2^deg), times (-1)^m when
-    m < 0 (J_{-k} = (-1)^k J_k).  Empty when D < |m|.
+    m < 0 (J_{-k} = (-1)^k J_k).  Empty when D < |m|.  An iterator over
+    `_bessel_table(m, D)`, which is built once.
     """
+    return iter(_bessel_table(m, D))
+
+
+# a verify reads about 50 tables; the bound keeps a long-lived process small
+@functools.lru_cache(maxsize=256)
+def _bessel_table(m: int, D: int) -> tuple[tuple[int, Fraction], ...]:
     ma = abs(m)
     sign = -1 if (m < 0 and ma % 2 == 1) else 1
+    table = []
     for deg in range(ma, D + 1, 2):
         j = (deg - ma) // 2
-        yield deg, Fraction(
-            sign * (-1) ** j, math.factorial(j) * math.factorial(deg - j) * 2**deg
-        )
+        q = Fraction(sign * (-1) ** j, math.factorial(j) * math.factorial(deg - j) * 2**deg)
+        table.append((deg, q))
+    return tuple(table)
 
 
 def scalar_bessel_majorant(r: float, m: int, from_j: int = 0) -> float:
@@ -313,8 +323,14 @@ def bessel_coeffs(
     else:
         dtype = np.result_type(*{c._arr.dtype for c in tower[: D + 1]})
         arr = np.zeros((D + 1, first.dim, first.dim), dtype)
-        for deg, q in bessel_terms(m, D):
-            arr[deg] = tower[deg]._arr * float(q)
+        terms = tuple(bessel_terms(m, D))
+        if terms:
+            # the products tower[deg]._arr * float(q), all at once; only a
+            # degree-0 entry (I, or a real A) can be real in a complex tower,
+            # and its q is J_0's 1, so promoting it first keeps the bits
+            degs = [deg for deg, _ in terms]
+            qs = np.array([float(q) for _, q in terms])
+            arr[degs] = np.stack([tower[deg]._arr for deg in degs]) * qs[:, None, None]
         s = OperatorSeries._checked(arr)
     s.tail_fn = lambda t_abs: norm * bessel_tail(t_abs * rate / 2.0, m, D)
     return s
@@ -504,12 +520,19 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
             tail_sum += bessel_tail(r, m_idx, D)
         resid_op = _tower_sum(powers, ((deg, sd) for deg, sd in enumerate(s) if sd), t)
         return frobenius(resid_op), bilateral_tail(r, K) + tail_sum
-    acc = Operator.zero(X.dim, X.mode)
-    for m_idx in range(-K, K + 1):
-        val, tb = series_eval(bessel_series(X, m_idx, D, powers=powers), t)
+    series = [bessel_series(X, m_idx, D, powers=powers) for m_idx in range(-K, K + 1)]
+    # series_eval's Horner on every series at once, then the values added in
+    # m order from zero: the same operations on every entry
+    stack = np.stack([s._arr for s in series])
+    vals = stack[:, -1]
+    for j in range(D - 1, -1, -1):
+        vals = vals * t + stack[:, j]
+    acc = np.zeros_like(powers[0]._arr)
+    for val in vals:
         acc = acc + val
-        tail_sum += tb.value
-    resid = frobenius(acc - Operator.identity(X.dim, X.mode))
+    for s in series:
+        tail_sum += s.tail_fn(t_abs)
+    resid = frobenius(Operator._checked(acc) - Operator.identity(X.dim, X.mode))
     bound = bilateral_tail(r, K) + tail_sum
     bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
     return resid, bound

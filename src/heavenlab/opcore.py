@@ -39,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -371,6 +371,42 @@ def determinant(a: Operator) -> Fraction:
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = a b - b a."""
     return a @ b - b @ a
+
+
+def combination(zero: Operator, pairs: Iterable[tuple[Operator, ScalarLike]]) -> Operator:
+    """sum of c op over the (op, c) of `pairs`, taken in order from `zero`,
+    the zero operator of their mode and dimension; in exact mode each c is
+    an int or a Fraction.
+
+    The result has the bits of adding op.scale(c) to `zero` term by term.
+    Exact mode skips exact-zero terms, folds each 1/denominator into its
+    weight and brings the weights to their lcm, so the sum is one integer
+    dot of the weights with the stacked numerators and one reduction; the
+    reduced result is canonical, as every per-term sum is.  Float mode adds
+    op * c on the raw arrays (a Fraction c rounded once, as in `scale`) and
+    checks the sum once.  The check also runs when `pairs` raises: a partial
+    sum that went non-finite raises NonFiniteError first, where the per-term
+    route would have stopped.
+    """
+    if zero.mode == FLOAT:
+        acc = zero._arr
+        try:
+            for op, c in pairs:
+                acc = acc + op._arr * (float(c) if isinstance(c, Fraction) else c)
+        finally:
+            check_finite(acc)
+        return Operator._float(acc)
+    nums, weights = [], []
+    for op, c in pairs:
+        if c and not op._zero:
+            nums.append(op._arr)
+            weights.append((c.numerator, c.denominator * op.denominator))
+    if not nums:
+        return zero
+    den = math.lcm(*(q for _, q in weights))
+    w = np.array([p * (den // q) for p, q in weights], dtype=object)
+    num = np.dot(w, np.stack(nums).reshape(len(nums), -1))
+    return Operator._exact(num.reshape(zero._arr.shape), den)
 
 
 def powers(a: Operator, n: int) -> list[Operator]:

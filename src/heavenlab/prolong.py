@@ -23,6 +23,7 @@ Two closed forms are implemented and cross-checked: the adjoint-argument
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -105,8 +106,14 @@ class ProlongationInstance:
         return commutator(self.L, self.P0) - commutator(self.L, self.M0)
 
     def to_float(self) -> "ProlongationInstance":
+        """The instance in float mode: itself, or its float twin, converted
+        on the first call and kept."""
         if self.mode == FLOAT:
             return self
+        return self._float_twin
+
+    @functools.cached_property
+    def _float_twin(self) -> "ProlongationInstance":
         return replace(self, **{k: getattr(self, k).to_float() for k in OPERATORS})
 
 
@@ -207,7 +214,9 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
     J: dict[int, Operator] = {k: bessel_eval(L_powers, k, t) for k in ks}
     t_abs = abs(float(t))
     r = t_abs * frobenius(inst.L) / 2.0
-    g = {k: scalar_bessel_majorant(r, k) for k in ks}
+    # g(k), the J_k norm majorant at r, depends on |k| only: each one once
+    by_abs = functools.cache(lambda m: scalar_bessel_majorant(r, m))
+    g = lambda k: by_abs(abs(k))
     tau = {k: bessel_tail(r, k, D) for k in ks}
 
     m_acc = Operator.zero(inst.dim, mode)
@@ -219,24 +228,24 @@ def solution_L_form(inst: ProlongationInstance, t, K: int, D: int) -> LFormSolut
 
     nm0, np0 = frobenius(inst.M0), frobenius(inst.P0)
     # dropped indices |k| > K
-    m_tail = nm0 * _pair_tail_outside(r, K, 0)
-    p_tail = (t_abs / 2.0) * np0 * _pair_tail_outside(r, K, 1)
+    m_tail = nm0 * _pair_tail_outside(g, K, 0)
+    p_tail = (t_abs / 2.0) * np0 * _pair_tail_outside(g, K, 1)
     # per-index degree truncation: |J~ J~ - J J| <= g' tau + tau' g + tau tau'
     for k in range(-K, K + 1):
-        m_tail += nm0 * (g[k] * tau[k] * 2 + tau[k] * tau[k])
+        m_tail += nm0 * (g(k) * tau[k] * 2 + tau[k] * tau[k])
         p_tail += (t_abs / 2.0) * np0 * (
-            g[k + 1] * tau[k] + tau[k + 1] * g[k] + tau[k + 1] * tau[k]
+            g(k + 1) * tau[k] + tau[k + 1] * g(k) + tau[k + 1] * tau[k]
         )
     return LFormSolution(p=p_acc, m=m_acc, p_tail=p_tail, m_tail=m_tail)
 
 
-def _pair_tail_outside(r: float, K: int, offset: int) -> float:
-    """sum_{|k| > K} g_{k+offset} g_k with g_k the J_k norm majorant at r."""
+def _pair_tail_outside(g, K: int, offset: int) -> float:
+    """sum_{|k| > K} g(k + offset) g(k) with g(k) the J_k norm majorant."""
     total = 0.0
     for sign in (1, -1):
         k = sign * (K + 1)
         for _ in range(10_000):
-            term = scalar_bessel_majorant(r, k + offset) * scalar_bessel_majorant(r, k)
+            term = g(k + offset) * g(k)
             total += term
             if term == 0.0 or term < 1e-32 * max(total, 1e-300):
                 break

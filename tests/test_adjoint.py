@@ -179,6 +179,21 @@ def test_bch_series_coefficients_match_ad_power():
     assert frobenius(s - (re + im.scale(1j))) < 1e-13 * max(1.0, frobenius(re), frobenius(im))
 
 
+def test_bch_series_matches_per_term_sum_bit_for_bit():
+    """One Operator add of ad_n.scale((it)^n/n!) per term, from zero."""
+    rng = random.Random(11)
+    for n, D in ((1, 0), (2, 5), (3, 12)):
+        ctx = AdjointContext(random_float_operator(rng, n, scale=2.0))
+        A0 = random_float_operator(rng, n)
+        for t in (0.7, -1.3, 0.0):
+            acc, coeff = Operator.zero(n, FLOAT), complex(1.0)
+            for k, ad_k in enumerate(ad_tower(ctx, A0, D)):
+                if k > 0:
+                    coeff = coeff * (1j * t) / k
+                acc = acc + ad_k.scale(coeff)
+            assert bch_series(ctx, A0, t, D).data.tobytes() == acc.data.tobytes()
+
+
 # -- harmonic combination --------------------------------------------------------
 
 

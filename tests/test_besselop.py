@@ -26,6 +26,7 @@ from heavenlab.besselop import (
     sum_rule_residual,
 )
 from heavenlab.opcore import (
+    EPS,
     EXACT,
     FLOAT,
     DimensionMismatchError,
@@ -354,6 +355,92 @@ def test_float_series_arithmetic_matches_per_coefficient_operators(
     for mixed in (lambda: a + wider, lambda: wider - a, lambda: a.lmul(wider.coefficient(0))):
         with pytest.raises(DimensionMismatchError):
             mixed()
+
+
+@st.composite
+def float_towers(draw):
+    """n, a tower of D+1 float operators with signed zeros, and D: either
+    random entries of one dtype, or the powers of a real or complex X, whose
+    degree-0 entry is the real identity."""
+    n, D = draw(st.integers(1, 4)), draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_ = draw(st.booleans())
+    if draw(st.booleans()):
+        x = rng.standard_normal((n, n))
+        X = Operator.from_rows(x + 1j * rng.standard_normal((n, n)) if complex_ else x, FLOAT)
+        return n, powers(X, D), D
+    tower = [c._arr for c in _float_coeffs(rng, n, D)]
+    if complex_:
+        tower = [c + 1j * i._arr for c, i in zip(tower, _float_coeffs(rng, n, D))]
+    return n, [Operator.from_rows(c, FLOAT) for c in tower], D
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(float_towers(), st.integers(-6, 6))
+def test_float_bessel_coeffs_match_per_degree_products(tower_draw, m):
+    n, tower, D = tower_draw
+    got = bessel_coeffs(tower, m, D, 1.0, 1.0)
+    want = np.zeros((D + 1, n, n), np.result_type(*(c.data.dtype for c in tower)))
+    for deg, q in bessel_terms(m, D):
+        want[deg] = tower[deg].data * float(q)
+    assert got._arr.dtype == want.dtype and got._arr.tobytes() == want.tobytes()
+
+
+def _float_sum_rule_by_series(X, t, K, D):
+    """The float sum rule as series_eval per index, added from zero in m order."""
+    X_powers = powers(X, D)
+    acc = Operator.zero(X.dim, FLOAT)
+    tail_sum = 0.0
+    for m in range(-K, K + 1):
+        val, tb = series_eval(bessel_series(X, m, D, powers=X_powers), t)
+        acc = acc + val
+        tail_sum += tb.value
+    resid = frobenius(acc - Operator.identity(X.dim, FLOAT))
+    r = abs(t) * frobenius(X) / 2.0
+    bound = bilateral_tail(r, K) + tail_sum
+    bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
+    return resid, bound
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    complex_=st.booleans(),
+    K=st.integers(0, 6),
+    D=st.integers(0, 16),
+    t=st.floats(-3, 3),
+)
+def test_float_sum_rule_matches_per_series_route(n, seed, complex_, K, D, t):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    X = Operator.from_rows(x + 1j * rng.standard_normal((n, n)) if complex_ else x, FLOAT)
+    got, want = sum_rule_residual(X, t, K, D), _float_sum_rule_by_series(X, t, K, D)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bessel_eval_raises_the_first_failure_of_its_terms():
+    """At t = 1e233 the degree-1 term of J_{-1}(tL) is -5e308, past the float
+    range, before t**3 overflows: NonFiniteError.  J_0's terms stay finite
+    until t**2 overflows: OverflowError."""
+    L_powers = powers(Operator.from_rows([[1e76, 0.0], [0.0, 0.0]], FLOAT), 4)
+    with pytest.raises(NonFiniteError):
+        bessel_eval(L_powers, -1, 1e233)
+    with pytest.raises(OverflowError):
+        bessel_eval(L_powers, 0, 1e233)
+
+
+def test_bessel_terms_iterates_a_table_built_once():
+    first = bessel_terms(-3, 12)
+    assert next(first) == (3, Fraction(-1, 48))
+    assert list(first) == list(bessel_terms(-3, 12))[1:]
+    table = besselop._bessel_table
+    hits = table.cache_info().hits
+    list(bessel_terms(-3, 12))
+    assert table.cache_info().hits == hits + 1
+    # the cache holds a bounded number of tables, however many runs read it
+    assert table.cache_info().maxsize is not None
 
 
 def _planted_terms(wrong_sign: bool, factorial_shift: int):

@@ -16,6 +16,7 @@ from heavenlab.opcore import (
     ModeMismatchError,
     NonFiniteError,
     Operator,
+    combination,
     commutator,
     determinant,
     frobenius,
@@ -461,3 +462,98 @@ def test_determinant_matches_sympy():
         assert determinant(Operator.from_rows(rows, EXACT)) == Fraction(str(ref))
     with pytest.raises(ModeMismatchError):
         determinant(Operator.identity(2, FLOAT))
+
+
+# -- the combination kernel against the per-term route -------------------------
+
+
+def _per_term(zero, pairs):
+    """zero + op.scale(c) + ..., one Operator sum per term."""
+    acc = zero
+    for op, c in pairs:
+        acc = acc + op.scale(c)
+    return acc
+
+
+@st.composite
+def exact_terms(draw):
+    """n and up to 6 (rows, c) pairs; some rows and some c exactly zero."""
+    n = draw(st.integers(1, 3))
+    square = st.lists(st.lists(entry_fraction, min_size=n, max_size=n), min_size=n, max_size=n)
+    rows = st.one_of(square, st.just([[Fraction(0)] * n for _ in range(n)]))
+    c = st.one_of(scalar_fraction, st.integers(-3, 3))
+    return n, draw(st.lists(st.tuples(rows, c), max_size=6))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(exact_terms())
+def test_exact_combination_matches_per_term_route(terms):
+    n, raw = terms
+    pairs = [(Operator.from_rows(rows, EXACT), c) for rows, c in raw]
+    zero = Operator.zero(n, EXACT)
+    got, want = combination(zero, pairs), _per_term(zero, pairs)
+    assert got.denominator == want.denominator
+    assert got.numerators.tolist() == want.numerators.tolist()
+    ref = [[sum((c * Fraction(rows[i][j]) for rows, c in raw), Fraction(0)) for j in range(n)]
+           for i in range(n)]
+    _assert_matches(got, ref)
+
+
+def test_exact_combination_empty_and_cancelling_sums_are_canonical_zero():
+    zero = Operator.zero(2, EXACT)
+    assert combination(zero, []) is zero
+    a = Operator.from_rows([["1/3", "-5/6"], [2, "7/9"]], EXACT)
+    b = Operator.from_rows([["2/3", "-5/3"], [4, "14/9"]], EXACT)
+    for pairs in ([(a, Fraction(3, 4)), (a, Fraction(-3, 4))], [(b, 1), (a, -2)],
+                  [(a, 0), (zero, 5)]):
+        got = combination(zero, pairs)
+        assert got.is_zero() and got.denominator == 1 and got == _per_term(zero, pairs)
+
+
+@st.composite
+def float_terms(draw):
+    """Up to 6 (op, c) pairs of float64 or complex128 operators with signed
+    zeros, and float, Fraction and complex weights."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part():
+        x = rng.standard_normal((n, n)) * 2.0 ** rng.integers(-40, 41, (n, n))
+        x[rng.random((n, n)) < 0.2] = 0.0
+        x[rng.random((n, n)) < 0.2] = -0.0
+        return x
+
+    weight = st.one_of(
+        st.floats(-4, 4),
+        st.sampled_from([0.0, -0.0, 1j, -2.5 + 0.5j]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    )
+    ops = [part() + 1j * part() if draw(st.booleans()) else part() for _ in range(k)]
+    return n, [(Operator.from_rows(x, FLOAT), draw(weight)) for x in ops]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(float_terms())
+def test_float_combination_matches_per_term_route_bit_for_bit(terms):
+    n, pairs = terms
+    zero = Operator.zero(n, FLOAT)
+    got, want = combination(zero, pairs), _per_term(zero, pairs)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_combination_raises_what_the_per_term_route_raises_first():
+    """A weight c = t**deg is computed as the pairs are consumed: a partial
+    sum that went inf raises NonFiniteError ahead of a later OverflowError
+    from t**deg, and an OverflowError with a finite partial sum stays one."""
+    big, one = Operator.diag([1e76, 0.0], FLOAT), Operator.identity(2, FLOAT)
+    zero = Operator.zero(2, FLOAT)
+    t = 1e233
+    inf_first = lambda: ((op, t**deg) for op, deg in ((one, 0), (big, 1), (one, 3)))
+    overflow_first = lambda: ((op, t**deg) for op, deg in ((one, 0), (one, 2), (big, 1)))
+    for route in (combination, _per_term):
+        with pytest.raises(NonFiniteError):
+            route(zero, inf_first())
+        with pytest.raises(OverflowError):
+            route(zero, overflow_first())

@@ -191,6 +191,44 @@ def test_L_form_builds_only_the_indices_its_sums_read(monkeypatch):
     assert sorted(asked) == list(range(-3, 5))
 
 
+def test_L_form_tails_match_per_index_majorants(monkeypatch):
+    """Each majorant g_|k| is computed once per call, and the tails keep the
+    bits of evaluating scalar_bessel_majorant at every use."""
+    inst, t, K, D = catalog_instance("heisenberg3"), Fraction(5, 2), 3, 12
+    calls = []
+
+    def counted(r, k, from_j=0):
+        calls.append(abs(k))
+        return besselop.scalar_bessel_majorant(r, k, from_j)
+
+    monkeypatch.setattr(prolong, "scalar_bessel_majorant", counted)
+    lf = solution_L_form(inst, t, K, D)
+    assert len(calls) == len(set(calls))
+
+    g = lambda k: besselop.scalar_bessel_majorant(r, k)
+    r = float(t) * frobenius(inst.L) / 2.0
+    tau = lambda k: besselop.bessel_tail(r, k, D)
+
+    def outside(offset):
+        total = 0.0
+        for sign in (1, -1):
+            k = sign * (K + 1)
+            while True:
+                term = g(k + offset) * g(k)
+                total += term
+                if term == 0.0 or term < 1e-32 * max(total, 1e-300):
+                    break
+                k += sign
+        return total
+
+    nm0, np0, half = frobenius(inst.M0), frobenius(inst.P0), float(t) / 2.0
+    m_tail, p_tail = nm0 * outside(0), half * np0 * outside(1)
+    for k in range(-K, K + 1):
+        m_tail += nm0 * (g(k) * tau(k) * 2 + tau(k) * tau(k))
+        p_tail += half * np0 * (g(k + 1) * tau(k) + tau(k + 1) * g(k) + tau(k + 1) * tau(k))
+    assert (lf.m_tail.hex(), lf.p_tail.hex()) == (m_tail.hex(), p_tail.hex())
+
+
 def test_L_form_requires_positive_cutoff():
     inst = catalog_instance("diag2")
     with pytest.raises(ValueError):
@@ -372,3 +410,15 @@ def test_to_float_round_trip_values():
     fi = inst.to_float()
     assert fi.mode == FLOAT
     assert fi.L.entry(0, 1) == float(inst.L.entry(0, 1))
+
+
+@pytest.mark.parametrize("name", ["nilpotent4", "heisenberg3"])
+def test_to_float_converts_once(name):
+    """The float twin is built on the first call and returned on every later
+    one; each operator has the bits of a fresh conversion."""
+    inst = catalog_instance(name)
+    fi = inst.to_float()
+    assert inst.to_float() is fi and fi.to_float() is fi
+    for k in prolong.OPERATORS:
+        fresh = getattr(inst, k).to_float()
+        assert getattr(fi, k).data.tobytes() == fresh.data.tobytes(), k
