@@ -7,18 +7,20 @@ J_m(tX) is the z^m coefficient of the generating expansion
 so for m >= 0 the t^{m+2j} coefficient is
 (-1)^j / (j! (j+m)!) (1/2)^{m+2j} X^{m+2j}, and J_{-k} = (-1)^k J_k.  Series
 are truncated polynomials in t with Operator coefficients; the rational scalar
-coefficients are always computed exactly (big-integer factorials) and rounded
-once when the series lives in float mode.
+coefficients are always computed exactly (big-integer factorials), and float
+mode reads each one rounded once, from the float twin of its table.
 
 `bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
-tower of operators into a series with its tail: the powers of X
-(`opcore.powers`) give J_m(tX), and the ad tower of A (`adjoint.ad_tower`)
-gives J_m(t ad_L)[A] in `prolong`.
+tower of operators into a series with its tail, or into the family of
+several indices over the one tower: the powers of X (`opcore.powers`) give
+J_m(tX), and the ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in
+`prolong`.
 
 An exact `OperatorSeries` is a tuple of canonical Operators.  A float series
-is one (D+1, n, n) array, so a series operation is one numpy expression and
-one finiteness check, not one Operator and one check per degree; each entry
-still gets the bits the per-coefficient Operator arithmetic gives.
+is one (D+1, n, n) array, and a float family one (B, D+1, n, n) batch, so a
+series operation is one numpy expression and one finiteness check, not one
+Operator and one check per degree and index; each entry still gets the bits
+the per-coefficient Operator arithmetic gives.
 
 In exact mode every sum of Bessel coefficients at a rational t is one
 rational combination of the powers of X: `series_eval` adds c_j t^j over the
@@ -80,6 +82,12 @@ class OperatorSeries:
     check on its result, and gives every entry the bits that the Operator
     arithmetic on that coefficient gives.  Its `coeffs` are read-only
     Operator views of the array, built on first use.
+
+    A float series may also be a batch, a (B, D+1, n, n) array of B series
+    of one degree (the rows of a Bessel family).  Arithmetic acts on every
+    row at once, `scale` takes one scalar per row, indexing with an int
+    array picks rows, and `max_coeff_norm` gives one maximum per row;
+    `coeffs` and `coefficient` read unbatched series only.
     """
 
     __slots__ = ("_arr", "_coeffs", "dim", "mode", "tail_fn")
@@ -101,14 +109,24 @@ class OperatorSeries:
 
     @classmethod
     def _checked(cls, arr: np.ndarray) -> "OperatorSeries":
-        """A float series over the (D+1, n, n) array the caller hands over:
-        refused if any entry is inf or nan."""
-        if not len(arr):
+        """A float series over the (D+1, n, n) array, or the batch over the
+        (B, D+1, n, n) array, the caller hands over: refused if any entry is
+        inf or nan."""
+        return cls._float(check_finite(arr))
+
+    @classmethod
+    def _float(cls, arr: np.ndarray) -> "OperatorSeries":
+        """`_checked` for an array the caller knows to be finite."""
+        if not arr.shape[-3]:
             raise ValueError("series needs at least the constant coefficient")
-        check_finite(arr).setflags(write=False)
+        arr.setflags(write=False)
         s = object.__new__(cls)
-        s._arr, s._coeffs, s.dim, s.mode, s.tail_fn = arr, None, arr.shape[1], FLOAT, None
+        s._arr, s._coeffs, s.dim, s.mode, s.tail_fn = arr, None, arr.shape[-1], FLOAT, None
         return s
+
+    def __getitem__(self, rows) -> "OperatorSeries":
+        """The rows `rows` (an int array) of a batched float series."""
+        return OperatorSeries._float(self._arr[rows])
 
     @property
     def coeffs(self) -> tuple[Operator, ...]:
@@ -118,7 +136,7 @@ class OperatorSeries:
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs if self._arr is None else self._arr) - 1
+        return (len(self._coeffs) if self._arr is None else self._arr.shape[-3]) - 1
 
     def coefficient(self, j: int) -> Operator:
         if j < 0:
@@ -140,7 +158,7 @@ class OperatorSeries:
         if self._arr is None:
             return OperatorSeries(map(f, self.coeffs, other.coeffs))
         d = min(self.degree, other.degree) + 1
-        return OperatorSeries._checked(f(self._arr[:d], other._arr[:d]))
+        return OperatorSeries._checked(f(self._arr[..., :d, :, :], other._arr[..., :d, :, :]))
 
     def __add__(self, other: "OperatorSeries") -> "OperatorSeries":
         return self._zip(other, operator.add)
@@ -149,18 +167,27 @@ class OperatorSeries:
         return self._zip(other, operator.sub)
 
     def scale(self, s) -> "OperatorSeries":
+        """s times the series; for a batch, s may be an array of one scalar per row."""
         if self._arr is None:
             return OperatorSeries([c.scale(s) for c in self.coeffs])
-        # as in Operator.scale, a Fraction is rounded to a float once
-        return OperatorSeries._checked(self._arr * (float(s) if isinstance(s, Fraction) else s))
+        if isinstance(s, np.ndarray):
+            s = s[:, None, None, None]
+        elif isinstance(s, Fraction):
+            # as in Operator.scale, a Fraction is rounded to a float once
+            s = float(s)
+        return OperatorSeries._checked(self._arr * s)
 
     def lmul(self, op: Operator) -> "OperatorSeries":
         """op * series, coefficient-wise."""
         self._require_compatible(op)
         if self._arr is None:
             return OperatorSeries([op @ c for c in self.coeffs])
-        # one np.dot per degree, the product Operator.__matmul__ forms
-        return OperatorSeries._checked(np.stack([np.dot(op._arr, c) for c in self._arr]))
+        # one np.dot per matrix, the product Operator.__matmul__ forms
+        arr = self._arr
+        flat = arr.reshape(-1, self.dim, self.dim)
+        return OperatorSeries._checked(
+            np.stack([np.dot(op._arr, c) for c in flat]).reshape(arr.shape)
+        )
 
     def shift(self, k: int) -> "OperatorSeries":
         """Multiply by t^k (k >= 0), extending the stored degree by k."""
@@ -170,9 +197,8 @@ class OperatorSeries:
             z = Operator.zero(self.dim, self.mode)
             return OperatorSeries([z] * k + list(self.coeffs))
         arr = self._arr
-        return OperatorSeries._checked(
-            np.concatenate((np.zeros((k,) + arr.shape[1:], arr.dtype), arr))
-        )
+        pad = np.zeros(arr.shape[:-3] + (k,) + arr.shape[-2:], arr.dtype)
+        return OperatorSeries._checked(np.concatenate((pad, arr), axis=-3))
 
     def derivative(self) -> "OperatorSeries":
         if self.degree == 0:
@@ -182,13 +208,19 @@ class OperatorSeries:
                 [self.coeffs[j].scale(j) for j in range(1, self.degree + 1)]
             )
         j = np.arange(1, self.degree + 1, dtype=np.float64)
-        return OperatorSeries._checked(self._arr[1:] * j[:, None, None])
+        return OperatorSeries._checked(self._arr[..., 1:, :, :] * j[:, None, None])
 
-    def max_coeff_norm(self, through: Optional[int] = None) -> float:
+    def max_coeff_norm(self, through: Optional[int] = None):
+        """The largest coefficient norm through degree `through`; for a
+        batch, a list of one such maximum per row."""
         hi = self.degree if through is None else min(through, self.degree)
         if self._arr is None:
             return max(frobenius(c) for c in self.coeffs[: hi + 1])
-        return max(frobenius_stack(self._arr[: hi + 1]))
+        arr = self._arr[..., : hi + 1, :, :]
+        norms = frobenius_stack(arr.reshape(-1, self.dim, self.dim))
+        if arr.ndim == 3:
+            return max(norms)
+        return [max(norms[i : i + hi + 1]) for i in range(0, len(norms), hi + 1)]
 
 
 def _tower_sum(tower: Sequence[Operator], terms, t) -> Operator:
@@ -234,6 +266,16 @@ def bessel_terms(m: int, D: int) -> Iterator[tuple[int, Fraction]]:
     `_bessel_table(m, D)`, which is built once.
     """
     return iter(_bessel_table(m, D))
+
+
+@functools.lru_cache(maxsize=256)
+def _float_table(terms, m: int, D: int):
+    """The float twin of terms(m, D), built once per `terms` object: its
+    (deg, float(q)) pairs, their degrees and their q as an array.  Every
+    float route passes the `bessel_terms` this module holds at the call, so
+    a patched one gets, and every float route reads, its own twin."""
+    pairs = tuple((deg, float(q)) for deg, q in terms(m, D))
+    return pairs, [deg for deg, _ in pairs], np.array([q for _, q in pairs])
 
 
 # a verify reads about 50 tables; the bound keeps a long-lived process small
@@ -303,9 +345,7 @@ def bilateral_tail(r: float, K: int) -> float:
             return math.inf
 
 
-def bessel_coeffs(
-    tower: Sequence[Operator], m: int, D: int, rate: float, norm: float
-) -> OperatorSeries:
+def bessel_coeffs(tower: Sequence[Operator], m, D: int, rate: float, norm: float):
     """J_m laid over `tower`, through degree D, with its tail.
 
     Coefficient deg is tower[deg].scale(q) for each (deg, q) of
@@ -313,25 +353,37 @@ def bessel_coeffs(
     this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].  `rate`
     and `norm` bound the tower, ||tower[j]|| <= norm * rate^j, so the dropped
     terms at |t| are at most norm * `bessel_tail`(|t| rate / 2, m, D).
+
+    For a sequence of indices m this is their family over the one tower,
+    without tails: a list of series, one per index, in exact mode, and one
+    batched float series with one row per index in float mode.  Float mode
+    stacks the tower once and fills each row's nonzero degrees from the
+    float twin of its table (`_float_table`); a degree with no term stays
+    the +0.0 of np.zeros.
     """
+    ms = (m,) if isinstance(m, int) else tuple(m)
     first = tower[0]
     if first.mode == EXACT:
-        coeffs = [Operator.zero(first.dim, EXACT)] * (D + 1)
-        for deg, q in bessel_terms(m, D):
-            coeffs[deg] = tower[deg].scale(q)
-        s = OperatorSeries(coeffs)
+        family = []
+        for mi in ms:
+            coeffs = [Operator.zero(first.dim, EXACT)] * (D + 1)
+            for deg, q in bessel_terms(mi, D):
+                coeffs[deg] = tower[deg].scale(q)
+            family.append(OperatorSeries(coeffs))
     else:
-        dtype = np.result_type(*{c._arr.dtype for c in tower[: D + 1]})
-        arr = np.zeros((D + 1, first.dim, first.dim), dtype)
-        terms = tuple(bessel_terms(m, D))
-        if terms:
-            # the products tower[deg]._arr * float(q), all at once; only a
-            # degree-0 entry (I, or a real A) can be real in a complex tower,
-            # and its q is J_0's 1, so promoting it first keeps the bits
-            degs = [deg for deg, _ in terms]
-            qs = np.array([float(q) for _, q in terms])
-            arr[degs] = np.stack([tower[deg]._arr for deg in degs]) * qs[:, None, None]
-        s = OperatorSeries._checked(arr)
+        # the products tower[deg]._arr * float(q); only a degree-0 entry (I,
+        # or a real A) can be real in a complex tower, and its q is J_0's 1,
+        # so promoting it with the stack keeps the bits
+        stack = np.stack([c._arr for c in tower[: D + 1]])
+        arr = np.zeros((len(ms),) + stack.shape, stack.dtype)
+        for row, mi in zip(arr, ms):
+            _, degs, qs = _float_table(bessel_terms, mi, D)
+            if degs:
+                row[degs] = stack[degs] * qs[:, None, None]
+        family = OperatorSeries._checked(arr)
+    if not isinstance(m, int):
+        return family
+    s = family[0]
     s.tail_fn = lambda t_abs: norm * bessel_tail(t_abs * rate / 2.0, m, D)
     return s
 
@@ -364,8 +416,11 @@ def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:
     every index would repeat work.  Summation is in ascending degree, matching
     the series construction.
     """
-    t = mode_scalar(t, X_powers[0].mode)
-    return _tower_sum(X_powers, bessel_terms(m, len(X_powers) - 1), t)
+    mode = X_powers[0].mode
+    t = mode_scalar(t, mode)
+    D = len(X_powers) - 1
+    terms = bessel_terms(m, D) if mode == EXACT else _float_table(bessel_terms, m, D)[0]
+    return _tower_sum(X_powers, terms, t)
 
 
 def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operator:
@@ -403,12 +458,13 @@ def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operato
 # -- recurrence checks -----------------------------------------------------
 
 # name -> (equation, how many degrees short of D the comparison is
-# complete, the residual series at k from the J_k table and L)
+# complete, the residual series at k from the J_k family and L); k is an int,
+# or in float mode an int array that J[k] reads as a batch of rows
 _RELATIONS = {
     "negative_index": (
         "J_{-k}(tL) = (-1)^k J_k(tL)",
         1,
-        lambda J, L, k: J[-k] - J[k].scale((-1) ** k),
+        lambda J, L, k: J[-k] - J[k].scale((-1) ** abs(k)),
     ),
     "recurrence_2k": (
         "2k J_k(tL) = tL [J_{k-1}(tL) + J_{k+1}(tL)]",
@@ -449,6 +505,12 @@ def check_recurrence(
     -k J_k + t J_k' = -t L J_{k+1}); nothing is ever divided by t.  Algebraic
     relations are compared through degree D-1, derivative relations through
     D-2, where both sides' truncations are complete.
+
+    The family J is one `bessel_coeffs` call over the powers of L, laid out
+    in numpy's index order, m = 0..hi and then lo..-1, so that J[k] reads
+    index k for negative k as well.  Exact mode forms the residual once per
+    k.  Float mode forms it once, for every k at once, over a batch of rows;
+    each row gets the bits of its own per-k residual.
     """
     if rel not in _RELATIONS:
         raise ValueError(f"unknown relation {rel!r}; expected one of {RELATIONS}")
@@ -460,27 +522,24 @@ def check_recurrence(
         raise ValueError(
             f"k outside series support: need degree >= {need + 1}, got {D}"
         )
-    lo, hi = k_range[0], k_range[-1]
-    # k -+ 1 for the recurrences, -k for negative_index
-    L_powers = operator_powers(L, D)
-    J = {
-        k: bessel_series(L, k, D, powers=L_powers)
-        for k in range(min(lo - 1, -hi), max(hi + 1, -lo) + 1)
-    }
+    # k -+ 1 for the recurrences, -k for negative_index; the range spans 0
+    lo, hi = min(k_range[0] - 1, -k_range[-1]), max(k_range[-1] + 1, -k_range[0])
+    ms = [*range(0, hi + 1), *range(lo, 0)]
+    J = bessel_coeffs(operator_powers(L, D), ms, D, frobenius(L), 1.0)
     exact = L.mode == EXACT
-    # float-mode roundoff allowance; exact mode demands literal zero
-    fl_bound = 0.0
-    if not exact:
-        scale = max(1.0, frobenius(L)) * max(
-            s.max_coeff_norm() for s in J.values()
-        )
-        fl_bound = 64.0 * EPS * (D + 2) * scale
-
     equation, short, residual_series = _RELATIONS[rel]
     through = D - short
+    if exact:
+        # exact mode demands literal zero
+        residuals = [residual_series(J, L, k).max_coeff_norm(through) for k in k_range]
+        fl_bound = 0.0
+    else:
+        residuals = residual_series(J, L, np.array(k_range)).max_coeff_norm(through)
+        # float-mode roundoff allowance
+        scale = max(1.0, frobenius(L)) * max(J.max_coeff_norm())
+        fl_bound = 64.0 * EPS * (D + 2) * scale
     records = []
-    for k in k_range:
-        residual = residual_series(J, L, k).max_coeff_norm(through)
+    for k, residual in zip(k_range, residuals):
         records.append(
             make_record(
                 check_id=f"{rel}[k={k}]",
@@ -509,32 +568,34 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
     """
     t = mode_scalar(t, X.mode)
     t_abs = abs(float(t))
-    r = t_abs * frobenius(X) / 2.0
-    tail_sum = 0.0
+    nX = frobenius(X)
+    r = t_abs * nX / 2.0
+    ms = range(-K, K + 1)
     powers = operator_powers(X, D)
     if X.mode == EXACT:
         s = [Fraction(-1)] + [Fraction(0)] * D
-        for m_idx in range(-K, K + 1):
+        for m_idx in ms:
             for deg, q in bessel_terms(m_idx, D):
                 s[deg] += q
-            tail_sum += bessel_tail(r, m_idx, D)
-        resid_op = _tower_sum(powers, ((deg, sd) for deg, sd in enumerate(s) if sd), t)
-        return frobenius(resid_op), bilateral_tail(r, K) + tail_sum
-    series = [bessel_series(X, m_idx, D, powers=powers) for m_idx in range(-K, K + 1)]
-    # series_eval's Horner on every series at once, then the values added in
-    # m order from zero: the same operations on every entry
-    stack = np.stack([s._arr for s in series])
-    vals = stack[:, -1]
-    for j in range(D - 1, -1, -1):
-        vals = vals * t + stack[:, j]
-    acc = np.zeros_like(powers[0]._arr)
-    for val in vals:
-        acc = acc + val
-    for s in series:
-        tail_sum += s.tail_fn(t_abs)
-    resid = frobenius(Operator._checked(acc) - Operator.identity(X.dim, X.mode))
+        resid = frobenius(_tower_sum(powers, ((deg, sd) for deg, sd in enumerate(s) if sd), t))
+    else:
+        # series_eval's Horner on every series of the family at once, then
+        # the values added in m order from zero: the same operations on
+        # every entry
+        stack = bessel_coeffs(powers, ms, D, nX, 1.0)._arr
+        vals = stack[:, -1]
+        for j in range(D - 1, -1, -1):
+            vals = vals * t + stack[:, j]
+        acc = np.zeros_like(powers[0]._arr)
+        for val in vals:
+            acc = acc + val
+        resid = frobenius(Operator._checked(acc) - Operator.identity(X.dim, X.mode))
+    tail_sum = 0.0
+    for m_idx in ms:
+        tail_sum += bessel_tail(r, m_idx, D)
     bound = bilateral_tail(r, K) + tail_sum
-    bound += 64.0 * EPS * (2 * K + 1) * max(1.0, frobenius(X)) * math.exp(min(2 * r, 700.0))
+    if X.mode == FLOAT:
+        bound += 64.0 * EPS * (2 * K + 1) * max(1.0, nX) * math.exp(min(2 * r, 700.0))
     return resid, bound
 
 

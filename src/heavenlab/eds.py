@@ -383,7 +383,9 @@ class Section:
     """Jet section u = f(x,y,z), p = f_x, q = f_y, r = f_z.
 
     f is an exact polynomial; the pullback target ring tracks E = e^f with
-    dE/dv = f_v E.
+    dE/dv = f_v E.  Each substitution power and each pulled wedge of
+    differentials is built on first use and kept for the section's lifetime
+    (forms are never changed in place).
     """
 
     def __init__(self, f_spec: dict):
@@ -396,6 +398,30 @@ class Section:
         self._subs = {v: ring.var(v) for v in ring.coords}
         self._subs.update(u=f, p=self.fx, q=self.fy, r=self.fz)
         self._dsubs = {v: ext_d(g) for v, g in self._subs.items()}
+        # (coordinate, exponent) -> substitution power; wedge names -> pulled dw
+        self._powers: dict[tuple[str, int], DifferentialForm] = {}
+        self._wedges: dict[tuple[str, ...], DifferentialForm] = {}
+
+    def _power(self, v: str, e: int) -> DifferentialForm:
+        key = (v, e)
+        if key not in self._powers:
+            try:
+                self._powers[key] = self._subs[v].power(e)
+            except KeyError:
+                raise ValueError(f"cannot pull back coordinate {v!r}") from None
+        return self._powers[key]
+
+    def _wedge(self, vs: tuple[str, ...]) -> DifferentialForm:
+        if vs not in self._wedges:
+            try:
+                pulled = [self._dsubs[v] for v in vs]
+            except KeyError as e:
+                raise ValueError(f"cannot pull back d{e.args[0]}") from None
+            dw = self.ring.one()
+            for dv in pulled:
+                dw = dw * dv
+            self._wedges[vs] = dw
+        return self._wedges[vs]
 
     def pullback(self, form: DifferentialForm) -> DifferentialForm:
         ring = self.ring
@@ -406,21 +432,11 @@ class Section:
         for (w, mono, s), c in form.terms.items():
             piece = DifferentialForm(ring, 0, {((), (), s): c})
             for i, e in mono:
-                try:
-                    piece = piece * self._subs[names[i]].power(e)
-                except KeyError:
-                    raise ValueError(f"cannot pull back coordinate {names[i]!r}") from None
+                piece = piece * self._power(names[i], e)
             coeffs[w] = coeffs[w] + piece if w in coeffs else piece
         out = DifferentialForm.zero(ring, form.degree)
         for w, pc in coeffs.items():
-            try:
-                pulled = [self._dsubs[names[i]] for i in w]
-            except KeyError as e:
-                raise ValueError(f"cannot pull back d{e.args[0]}") from None
-            dw = ring.one()
-            for dv in pulled:
-                dw = dw * dv
-            out = out + pc * dw
+            out = out + pc * self._wedge(tuple(names[i] for i in w))
         return out
 
 
@@ -462,6 +478,7 @@ def check_proposition1(section: Section) -> VerificationReport:
             "(f_xx + f_yy + e^f (f_zz + f_z^2)) dx^dy^dz",
         )
     ]
+    detail = f"f = {section.f}"
     records = [
         make_record(
             f"theta{i}-pullback",
@@ -469,7 +486,7 @@ def check_proposition1(section: Section) -> VerificationReport:
             f"section* theta{i} = {rhs}",
             _float_residual((section.pullback(th) - want).l1()),
             0.0,
-            detail=f"f = {section.f}",
+            detail=detail,
         )
         for i, (th, (want, rhs)) in enumerate(zip(base_ideal(), expected), start=1)
     ]
@@ -494,6 +511,18 @@ def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Mon
 def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dict[int, Coeff]]:
     """Sparse exact elimination; one solution with free unknowns = 0, or None.
 
+    `_eliminate(rows)` and then `_substitute` of rhs: the one-shot form of
+    the two passes that a membership system shares among its targets.
+    """
+    return _substitute(_eliminate(rows), rhs)
+
+
+def _eliminate(rows: list[dict[int, Coeff]]) -> tuple[list, list[int]]:
+    """The elimination pass of `_solve_exact`, which reads no right-hand
+    side: its steps, each (pivot row, pivot unknown, the pivot row's
+    entries, the (row, factor) of each row it clears), and the rows never
+    pivoted.
+
     A pivot row p with pivot a clears b from row r as r <- r - (b/a) p.  A
     column -> rows index finds the rows a pivot touches, and a heap of
     (length, row) picks the next pivot row.  Deterministic: the sparsest row
@@ -504,18 +533,18 @@ def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dic
     can enter, and the pivots, being chosen from lengths and indices only,
     are those of a Fraction solve.
     """
-    work = [({k: x for k, x in row.items() if x}, v) for row, v in zip(rows, rhs)]
+    work = [{k: x for k, x in row.items() if x} for row in rows]
     col_rows: dict[int, set[int]] = {}
-    for ridx, (row, _) in enumerate(work):
+    for ridx, row in enumerate(work):
         for k in row:
             col_rows.setdefault(k, set()).add(ridx)
-    heap = [(len(row), ridx) for ridx, (row, _) in enumerate(work) if row]
+    heap = [(len(row), ridx) for ridx, row in enumerate(work) if row]
     heapq.heapify(heap)
     active = [True] * len(work)
-    order: list[tuple[int, dict[int, Coeff], Coeff]] = []
+    steps = []
     while heap:
         length, best = heapq.heappop(heap)
-        row, val = work[best]
+        row = work[best]
         if not active[best] or len(row) != length:
             continue  # a stale entry: the row was pivoted or changed since
         active[best] = False
@@ -523,8 +552,9 @@ def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dic
         a = row[piv]
         for k in row:
             col_rows[k].discard(best)
+        cleared = []
         for ridx in col_rows.pop(piv):
-            r2, v2 = work[ridx]
+            r2 = work[ridx]
             f = _quotient(r2.pop(piv), a)
             for k, x in row.items():
                 if k == piv:
@@ -536,24 +566,101 @@ def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dic
                 elif k in r2:
                     del r2[k]
                     col_rows[k].discard(ridx)
-            work[ridx] = (r2, _coeff(v2 - f * val))
+            cleared.append((ridx, f))
             if r2:
                 heapq.heappush(heap, (len(r2), ridx))
-        order.append((piv, row, val))
-    if any(active[ridx] and val for ridx, (_, val) in enumerate(work)):
+        steps.append((best, piv, row, cleared))
+    return steps, [ridx for ridx, a in enumerate(active) if a]
+
+
+def _substitute(elim: tuple[list, list[int]], rhs: list[Coeff]) -> Optional[dict[int, Coeff]]:
+    """The right-hand-side pass: rhs through the row operations of `elim`,
+    None if a row never pivoted keeps a nonzero value, else back
+    substitution with the free unknowns 0."""
+    steps, free_rows = elim
+    val = list(rhs)
+    for best, _piv, _row, cleared in steps:
+        v = val[best]
+        if v:
+            for ridx, f in cleared:
+                val[ridx] = _coeff(val[ridx] - f * v)
+    if any(val[ridx] for ridx in free_rows):
         return None
     solution: dict[int, Coeff] = {}
-    for piv, row, val in reversed(order):
+    for best, piv, row, _cleared in reversed(steps):
         # the pivot itself is not solved yet, so `k in solution` skips it
-        acc = val - sum(x * solution[k] for k, x in row.items() if k in solution)
+        acc = val[best] - sum(x * solution[k] for k, x in row.items() if k in solution)
         solution[piv] = _quotient(acc, row[piv])
     return solution
+
+
+class MembershipWorkspace:
+    """What the membership systems over one tuple of generators share.
+
+    A basis multiplier is mono e^{s u} dv, so its product with theta_j is
+    dv ^ theta_j with every monomial multiplied by mono and every exponent
+    shifted by s.  Each dv ^ theta_j is expanded once, and each system, the
+    columns of one (target degree, multiplier degree, variable set), is
+    built and eliminated once, for every target that reads it.  A workspace
+    lives for one call, so nothing it holds outlives a change to the maths.
+    """
+
+    def __init__(self, generators: Sequence[DifferentialForm]):
+        self.gens = tuple(generators)
+        self._products: dict[tuple[int, Wedge], DifferentialForm] = {}
+        self._systems: dict[tuple, tuple] = {}
+
+    def _product(self, j: int, dw: Wedge) -> DifferentialForm:
+        prod = self._products.get((j, dw))
+        if prod is None:
+            g = self.gens[j]
+            prod = DifferentialForm(g.ring, len(dw), {(dw, (), 0): 1}) * g
+            self._products[j, dw] = prod
+        return prod
+
+    def system(self, target_degree: int, degree: int, varset: Sequence[str]) -> tuple:
+        """(basis, row index of each term key, elimination) of the system.
+
+        Column ci is basis[ci] = (j, dw, mono, s); it is the expansion of
+        dw ^ theta_j with shifted keys.  Shifting is injective, so a column
+        is zero exactly when dw ^ theta_j is.
+        """
+        key = (target_degree, degree, tuple(varset))
+        system = self._systems.get(key)
+        if system is not None:
+            return system
+        ring = self.gens[0].ring
+        monos = _monomials_up_to(varset, degree, ring)
+        basis: list[tuple[int, Wedge, Monomial, int]] = []
+        row_keys: dict[TermKey, int] = {}
+        rows: list[dict[int, Coeff]] = []
+        for j, g in enumerate(self.gens):
+            gap = target_degree - g.degree
+            for dw in [(i,) for i in range(len(ring.coords))] if gap else [()]:
+                prod = self._product(j, dw)
+                if prod.is_zero():
+                    continue
+                for mono in monos:
+                    shifted = [
+                        (w, _mono_mul(mono, m), sm, val) for (w, m, sm), val in prod.terms.items()
+                    ]
+                    for s in (-1, 0, 1):
+                        ci = len(basis)
+                        basis.append((j, dw, mono, s))
+                        for w, m, sm, val in shifted:
+                            idx = row_keys.setdefault((w, m, s + sm), len(rows))
+                            if idx == len(rows):
+                                rows.append({})
+                            rows[idx][ci] = val
+        system = self._systems[key] = (basis, row_keys, _eliminate(rows))
+        return system
 
 
 def ideal_membership(
     target: DifferentialForm,
     generators: Sequence[DifferentialForm],
     multiplier_degree: int = 2,
+    workspace: Optional[MembershipWorkspace] = None,
 ) -> Optional[tuple[DifferentialForm, ...]]:
     """Search for multipliers sigma_j with sum sigma_j ^ theta_j = target,
     returned in the order of the generators.
@@ -563,7 +670,9 @@ def ideal_membership(
     s in {-1, 0, 1}, times the coordinate differentials (or scalars when the
     degrees already match).  Solved exactly; any witness found is verified by
     exact re-expansion before being returned.  A None result means the
-    bounded search failed, not a proof of non-membership.
+    bounded search failed, not a proof of non-membership.  A `workspace`
+    built for these generators shares its systems with the caller's other
+    searches; the witness is the same with or without it.
     """
     ring = target.ring
     gens = list(generators)
@@ -575,10 +684,14 @@ def ideal_membership(
         gap = target.degree - g.degree
         if gap not in (0, 1):
             raise ValueError("multiplier degree gap must be 0 or 1")
+    if workspace is None:
+        workspace = MembershipWorkspace(gens)
+    elif workspace.gens != tuple(gens):
+        raise ValueError("workspace built for other generators")
     var_target = sorted(target.variables())
     var_all = sorted(set(var_target) | set().union(*(g.variables() for g in gens)))
     for varset in ([var_target, var_all] if var_target != var_all else [var_all]):
-        witness = _membership_attempt(target, gens, multiplier_degree, varset)
+        witness = _membership_attempt(target, workspace, multiplier_degree, varset)
         if witness is not None:
             return witness
     return None
@@ -586,49 +699,22 @@ def ideal_membership(
 
 def _membership_attempt(
     target: DifferentialForm,
-    gens: list[DifferentialForm],
+    workspace: MembershipWorkspace,
     degree: int,
     varset: list[str],
 ) -> Optional[tuple[DifferentialForm, ...]]:
-    """One bounded search: the linear system of sum sigma_j ^ theta_j = target.
-
-    A basis multiplier is mono e^{s u} dv, so its product with theta_j is
-    dv ^ theta_j with every monomial multiplied by mono and every exponent
-    shifted by s.  dv ^ theta_j is expanded once per (j, dv); each column is
-    that expansion with shifted keys.  Shifting is injective, so a column is
-    zero exactly when dv ^ theta_j is.
-    """
+    """One bounded search: the linear system of sum sigma_j ^ theta_j =
+    target, the workspace's system with the target's right-hand side."""
     ring = target.ring
-    monos = _monomials_up_to(varset, degree, ring)
-    s_values = (-1, 0, 1)
-    basis: list[tuple[int, Wedge, Monomial, int]] = []
-    row_keys: dict[TermKey, int] = {}
-    rows: list[dict[int, Coeff]] = []
-
-    def row_index(key: TermKey) -> int:
-        idx = row_keys.setdefault(key, len(rows))
-        if idx == len(rows):
-            rows.append({})
-        return idx
-
-    for j, g in enumerate(gens):
-        gap = target.degree - g.degree
-        for dw in [(i,) for i in range(len(ring.coords))] if gap else [()]:
-            prod = DifferentialForm(ring, gap, {(dw, (), 0): 1}) * g
-            if prod.is_zero():
-                continue
-            for mono in monos:
-                shifted = [
-                    (w, _mono_mul(mono, m), sm, val) for (w, m, sm), val in prod.terms.items()
-                ]
-                for s in s_values:
-                    ci = len(basis)
-                    basis.append((j, dw, mono, s))
-                    for w, m, sm, val in shifted:
-                        rows[row_index((w, m, s + sm))][ci] = val
-    rhs_map = {row_index(key): val for key, val in target.terms.items()}
-    rhs = [rhs_map.get(i, 0) for i in range(len(rows))]
-    sol = _solve_exact(rows, rhs)
+    gens = workspace.gens
+    basis, row_keys, elim = workspace.system(target.degree, degree, varset)
+    rhs: list[Coeff] = [0] * len(row_keys)
+    for key, val in target.terms.items():
+        idx = row_keys.get(key)
+        if idx is None:
+            return None  # a term that no column reaches
+        rhs[idx] = val
+    sol = _substitute(elim, rhs)
     if sol is None:
         return None
     sigma_terms: list[dict[TermKey, Coeff]] = [{} for _ in gens]
@@ -652,15 +738,17 @@ def closure_check(cap: int = 3) -> VerificationReport:
     """d(theta_i) in the ideal, with degree-laddered witness search.
 
     An exhausted ladder marks the check inconclusive (info) rather than
-    failed, since bounded search cannot prove non-membership.
+    failed, since bounded search cannot prove non-membership.  The searches
+    share one `MembershipWorkspace`, made for this call.
     """
     thetas = base_ideal()
+    workspace = MembershipWorkspace(thetas)
     records = []
     for i, th in enumerate(thetas, start=1):
         dth = ext_d(th)
         found = None
         for deg in range(0, cap + 1):
-            found = ideal_membership(dth, thetas, multiplier_degree=deg)
+            found = ideal_membership(dth, thetas, multiplier_degree=deg, workspace=workspace)
             if found is not None:
                 break
         if found is not None:

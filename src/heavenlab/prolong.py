@@ -262,6 +262,11 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
     For input degree D the returned series stops at degree D-1, where t S''
     and S' stop (a sum keeps the lower degree), and is complete through it;
     the caller asserts those coefficients vanish.
+
+    Exact mode forms ad_L^2 of each coefficient with `ad_apply`.  Float mode
+    forms np.dot(L, c) - np.dot(c, L) on the raw coefficient stack, twice,
+    with one finiteness check per application: the bits of the commutators
+    `ad_apply` forms, since a non-finite product stays non-finite under -.
     """
     if kind not in ("P2", "M2"):
         raise ValueError("kind must be 'P2' or 'M2'")
@@ -273,7 +278,12 @@ def ode_residual(S: OperatorSeries, kind: str, ctx: AdjointContext) -> OperatorS
         raise ValueError("series degree must be >= 2")
     d1 = S.derivative()
     d2 = d1.derivative()
-    ad2 = OperatorSeries([ad_apply(ctx, ad_apply(ctx, c)) for c in S.coeffs])
+    if S.mode == EXACT:
+        ad2 = OperatorSeries([ad_apply(ctx, ad_apply(ctx, c)) for c in S.coeffs])
+    else:
+        L = ctx.L._arr
+        ad = lambda stack: np.stack([np.dot(L, c) - np.dot(c, L) for c in stack])
+        ad2 = OperatorSeries._checked(ad(check_finite(ad(S._arr))))
     t_d2 = d2.shift(1)
     return (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
 

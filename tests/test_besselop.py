@@ -582,3 +582,102 @@ def test_series_eval_tail_is_honest_at_1x1():
             val, tail = series_eval(s, t)
             truth = scipy.special.jv(0, t)
             assert abs(val.entry(0, 0) - truth) <= tail.value + 1e-13
+
+
+# -- families and batched float relations ----------------------------------------------
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(float_towers(), st.lists(st.integers(-6, 6), min_size=1, max_size=5))
+def test_float_family_rows_match_per_index_series(tower_draw, ms):
+    """Each row of a float family has the bits of the one-index series and
+    of the per-degree products tower[deg] * float(q), signed zeros and
+    complex towers included."""
+    n, tower, D = tower_draw
+    family = bessel_coeffs(tower, ms, D, 1.0, 1.0)
+    dtype = np.result_type(*(c.data.dtype for c in tower))
+    assert family._arr.shape == (len(ms), D + 1, n, n) and family._arr.dtype == dtype
+    for i, m in enumerate(ms):
+        want = np.zeros((D + 1, n, n), dtype)
+        for deg, q in bessel_terms(m, D):
+            want[deg] = tower[deg].data * float(q)
+        single = bessel_coeffs(tower, m, D, 1.0, 1.0)
+        assert family[i]._arr.tobytes() == want.tobytes() == single._arr.tobytes(), m
+
+
+def _per_k_residuals(rel, L, D, k_range):
+    """The float residual norms of `rel` formed one k at a time, from one
+    series per index, and the roundoff bound over those series."""
+    lo, hi = min(k_range), max(k_range)
+    L_powers = powers(L, D)
+    J = {m: bessel_series(L, m, D, powers=L_powers) for m in range(min(lo - 1, -hi), max(hi + 1, -lo) + 1)}
+    _equation, short, residual_series = besselop._RELATIONS[rel]
+    residuals = [residual_series(J, L, k).max_coeff_norm(D - short) for k in k_range]
+    scale = max(1.0, frobenius(L)) * max(s.max_coeff_norm() for s in J.values())
+    return residuals, 64.0 * EPS * (D + 2) * scale
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    complex_=st.booleans(),
+    lo=st.integers(-4, 4),
+    width=st.integers(0, 4),
+    extra=st.integers(0, 3),
+)
+def test_float_relations_over_all_k_match_the_per_k_route(n, seed, complex_, lo, width, extra):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    L = Operator.from_rows(x + 1j * rng.standard_normal((n, n)) if complex_ else x, FLOAT)
+    k_range = list(range(lo, lo + width + 1))
+    D = max(abs(k) for k in k_range) + 2 + extra
+    for rel in RELATIONS:
+        report = check_recurrence(rel, L, D, k_range)
+        residuals, bound = _per_k_residuals(rel, L, D, k_range)
+        assert [r.residual.hex() for r in report.records] == [v.hex() for v in residuals], rel
+        assert {r.bound for r in report.records} == {bound}, rel
+
+
+def test_batched_float_relations_raise_non_finite():
+    """L^4 is finite, L^5 is not: every relation that multiplies by L raises."""
+    L = Operator.from_rows([[1e70, 0.0], [0.0, 0.0]], FLOAT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rel in ("recurrence_2k", "derivative_diff", "positive_derivative", "negative_derivative"):
+            with pytest.raises(NonFiniteError):
+                check_recurrence(rel, L, 4, [-1, 0, 1])
+
+
+def test_patched_bessel_terms_reaches_every_float_route(monkeypatch):
+    """The float twin of a table belongs to the bessel_terms it was made
+    from: patching bessel_terms after a twin was cached changes the float
+    recurrences, the sum rule and bessel_eval, and undoing the patch gives
+    the first results back."""
+    L = Operator.from_rows([[0.5, 0.25], [-0.5, 0.75]], FLOAT)
+    D, ks = 12, [-2, -1, 0, 1, 2]
+    L_powers = powers(L, D)
+
+    def results():
+        recurrences = [
+            tuple(r.residual for r in check_recurrence(rel, L, D, ks).records) for rel in RELATIONS
+        ]
+        return (
+            recurrences,
+            sum_rule_residual(L, 1.5, 4, D)[0],
+            bessel_eval(L_powers, 1, 1.5).data.tobytes(),
+        )
+
+    clean = results()
+
+    def damped(m, D):
+        for deg, q in bessel_terms(m, D):
+            j = (deg - abs(m)) // 2
+            yield deg, q / (j + 1) if j >= 1 else q
+
+    monkeypatch.setattr(besselop, "bessel_terms", damped)
+    mutant = results()
+    # negative_index holds for any damping that is the same for J_k and J_{-k}
+    assert [a != b for a, b in zip(clean[0], mutant[0])] == [False, True, True, True, True]
+    assert clean[1] != mutant[1] and clean[2] != mutant[2]
+    monkeypatch.undo()
+    assert results() == clean

@@ -1,4 +1,5 @@
 """Exterior system: wedge algebra, closure witnesses, pullback, constraints."""
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -614,3 +615,108 @@ def test_hfg_on_slope_grid_is_the_per_slope_formula_on_random_instances():
         _assert_hfg_grid_is_per_slope_formula(
             inst, tuple(rng.uniform(-3.0, 2.0) for _ in range(3))
         )
+
+
+# -- shared membership systems -----------------------------------------------------
+
+
+def _one_pass_solve(rows, rhs):
+    """The elimination with the right-hand side carried along, in one pass:
+    the reference for `_solve_exact`'s elimination and substitution passes."""
+    work = [({k: x for k, x in row.items() if x}, v) for row, v in zip(rows, rhs)]
+    col_rows = {}
+    for ridx, (row, _) in enumerate(work):
+        for k in row:
+            col_rows.setdefault(k, set()).add(ridx)
+    heap = [(len(row), ridx) for ridx, (row, _) in enumerate(work) if row]
+    heapq.heapify(heap)
+    active = [True] * len(work)
+    order = []
+    while heap:
+        length, best = heapq.heappop(heap)
+        row, val = work[best]
+        if not active[best] or len(row) != length:
+            continue
+        active[best] = False
+        piv = min(row)
+        a = row[piv]
+        for k in row:
+            col_rows[k].discard(best)
+        for ridx in col_rows.pop(piv):
+            r2, v2 = work[ridx]
+            f = eds._quotient(r2.pop(piv), a)
+            for k, x in row.items():
+                if k == piv:
+                    continue
+                nx = eds._coeff(r2.get(k, 0) - f * x)
+                if nx:
+                    r2[k] = nx
+                    col_rows.setdefault(k, set()).add(ridx)
+                elif k in r2:
+                    del r2[k]
+                    col_rows[k].discard(ridx)
+            work[ridx] = (r2, eds._coeff(v2 - f * val))
+            if r2:
+                heapq.heappush(heap, (len(r2), ridx))
+        order.append((piv, row, val))
+    if any(active[ridx] and val for ridx, (_, val) in enumerate(work)):
+        return None
+    solution = {}
+    for piv, row, val in reversed(order):
+        acc = val - sum(x * solution[k] for k, x in row.items() if k in solution)
+        solution[piv] = eds._quotient(acc, row[piv])
+    return solution
+
+
+def test_two_pass_solve_equals_one_pass_on_random_sparse_systems():
+    """Same solutions, value and type, and the same None; and one
+    elimination serves several right-hand sides."""
+    rng = random.Random(20261020)
+    for make in (_integer_system, _random_system):
+        for _ in range(150):
+            rows, rhs, n_cols = make(rng)
+            want = _one_pass_solve(rows, rhs)
+            got = _solve_exact(rows, rhs)
+            assert got == want
+            if got is not None:
+                assert {c: type(v) for c, v in got.items()} == {c: type(v) for c, v in want.items()}
+            elim = eds._eliminate(rows)
+            for _ in range(3):
+                other = [rng.randint(-2, 2) * rng.randint(0, 1) for _ in rows]
+                assert eds._substitute(elim, other) == _one_pass_solve(rows, other)
+
+
+def test_shared_workspace_gives_the_same_witnesses():
+    """ideal_membership with one workspace for every target returns the
+    witnesses it returns alone, for each d theta_i at each degree."""
+    thetas = base_ideal()
+    workspace = eds.MembershipWorkspace(thetas)
+    for deg in (0, 1):
+        for th in thetas:
+            target = ext_d(th)
+            alone = ideal_membership(target, thetas, multiplier_degree=deg)
+            shared = ideal_membership(target, thetas, multiplier_degree=deg, workspace=workspace)
+            assert (alone is None) == (shared is None)
+            if alone is not None:
+                assert all(a.terms == b.terms for a, b in zip(alone, shared))
+    with pytest.raises(ValueError, match="other generators"):
+        ideal_membership(ext_d(thetas[0]), thetas[:2], multiplier_degree=1, workspace=workspace)
+
+
+def test_closure_check_builds_each_product_and_system_once(monkeypatch):
+    """closure_check(3) makes 6 searches over 4 distinct systems: 4
+    eliminations, and each dv ^ theta_j expanded once."""
+    eliminations, products = [], []
+    eliminate, product = eds._eliminate, eds.MembershipWorkspace._product
+
+    def counting_product(self, j, dw):
+        if (j, dw) not in self._products:
+            products.append((j, dw))
+        return product(self, j, dw)
+
+    monkeypatch.setattr(eds, "_eliminate", lambda rows: eliminations.append(1) or eliminate(rows))
+    monkeypatch.setattr(eds.MembershipWorkspace, "_product", counting_product)
+    report = closure_check(3)
+    assert [r.verdict for r in report.records] == ["pass"] * 4
+    assert len(eliminations) == 4
+    assert len(products) == len(set(products)) == 4 * len(BASE_RING.coords)

@@ -4,12 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 
 from heavenlab import besselop, prolong
-from heavenlab.adjoint import AdjointContext
-from heavenlab.besselop import bessel_series, series_eval
+from heavenlab.adjoint import AdjointContext, ad_apply
+from heavenlab.besselop import OperatorSeries, bessel_series, series_eval
 from heavenlab.eds import constraint_residuals
 from heavenlab.opcore import EXACT, FLOAT, Operator, commutator, frobenius
 from heavenlab.prolong import (
@@ -422,3 +423,36 @@ def test_to_float_converts_once(name):
     for k in prolong.OPERATORS:
         fresh = getattr(inst, k).to_float()
         assert getattr(fi, k).data.tobytes() == fresh.data.tobytes(), k
+
+
+def _ode_residual_by_ad_apply(S, kind, ctx):
+    """ode_residual with ad_L^2 of each coefficient taken by two ad_apply calls."""
+    d1 = S.derivative()
+    t_d2 = d1.derivative().shift(1)
+    ad2 = OperatorSeries([ad_apply(ctx, ad_apply(ctx, c)) for c in S.coeffs])
+    return (t_d2 - d1 if kind == "P2" else t_d2 + d1) + ad2.shift(1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_ode_residual_matches_ad_apply_route(seed):
+    """The float ad_L^2 over the raw stack has the bits of ad_apply twice,
+    on cal-form series and on random complex series with signed zeros."""
+    rng = np.random.default_rng(seed)
+    n, D = 2 + seed % 3, 6 + seed
+    L = Operator.from_rows(rng.standard_normal((n, n)), FLOAT)
+    ctx = AdjointContext(L)
+    fi = catalog_instance(("nilpotent4", "diag2", "heisenberg3")[seed % 3]).to_float()
+    sol = solution_cal_form(fi, D)
+    coeffs = rng.standard_normal((D + 1, n, n)) + 1j * rng.standard_normal((D + 1, n, n))
+    coeffs[rng.random(coeffs.shape) < 0.3] = -0.0
+    coeffs[:2] = 0.0
+    for S, ctx_, kinds in (
+        (sol.p, sol.ctx, ("P2", "M2")),
+        (sol.m, sol.ctx, ("M2",)),
+        (OperatorSeries([Operator.from_rows(c, FLOAT) for c in coeffs]), ctx, ("P2", "M2")),
+    ):
+        for kind in kinds:
+            got = ode_residual(S, kind, ctx_)
+            want = _ode_residual_by_ad_apply(S, kind, ctx_)
+            assert got._arr.dtype == want._arr.dtype
+            assert got._arr.tobytes() == want._arr.tobytes(), kind
