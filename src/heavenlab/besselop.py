@@ -388,24 +388,15 @@ def bessel_coeffs(tower: Sequence[Operator], m, D: int, rate: float, norm: float
     return s
 
 
-def bessel_series(
-    X: Operator,
-    m: int,
-    D: int,
-    powers: Optional[Sequence[Operator]] = None,
-) -> OperatorSeries:
+def bessel_series(X: Operator, m: int, D: int) -> OperatorSeries:
     """J_m(tX) truncated at t-degree D.
 
-    `powers`, when given, is [I, X, ..., X^D] or longer, as from
-    `opcore.powers`; it is read, never extended.  Negative index via
-    J_{-k} = (-1)^k J_k.  When D < |m| every stored coefficient is zero,
-    which is still the correct truncation.
+    Negative index via J_{-k} = (-1)^k J_k.  When D < |m| every stored
+    coefficient is zero, which is still the correct truncation.
     """
     if D < 0:
         raise ValueError("degree must be >= 0")
-    if powers is None:
-        powers = operator_powers(X, D)
-    return bessel_coeffs(powers, m, D, frobenius(X), 1.0)
+    return bessel_coeffs(operator_powers(X, D), m, D, frobenius(X), 1.0)
 
 
 def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:

@@ -29,12 +29,13 @@ import numpy as np
 from .besselop import RELATIONS, check_recurrence, sum_rule_check
 from .eds import (
     Section,
+    _eliminate,
     check_proposition1,
     closure_check,
     constraint_residuals,
     random_section,
 )
-from .opcore import EXACT, FLOAT, NonFiniteError, Operator, determinant
+from .opcore import EXACT, FLOAT, NonFiniteError, Operator
 from .prolong import (
     OPERATORS,
     CouplingError,
@@ -197,8 +198,12 @@ def build_instance(spec: dict) -> ProlongationInstance:
         if required not in ops:
             raise ScenarioError(f"operators: missing {required}")
     given = {k: _operator(ops[k], f"operators.{k}") for k in OPERATORS if k in ops}
-    if "B" in given and determinant(given["B"]) == 0:
-        raise ScenarioError("operators.B: singular; B must be invertible")
+    if "B" in given:
+        # B is invertible iff its numerator rows have full rank, that is,
+        # iff their elimination takes one pivot step per row
+        steps, _ = _eliminate([dict(enumerate(row)) for row in given["B"].numerators])
+        if len(steps) < given["B"].dim:
+            raise ScenarioError("operators.B: singular; B must be invertible")
     try:
         return make_instance(name, **given)
     except ValueError as e:
@@ -489,7 +494,7 @@ def _cmd_verify(args) -> int:
         report = run_scenario(sc)
         out = render_structured(report) if args.format == "structured" else render_text(report)
         if out_fh is None:
-            print(out)
+            sys.stdout.write(out)
         else:
             # a full disk shows only here, when the buffered report is
             # written or flushed on close; a failed close still closes

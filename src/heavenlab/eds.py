@@ -383,9 +383,7 @@ class Section:
     """Jet section u = f(x,y,z), p = f_x, q = f_y, r = f_z.
 
     f is an exact polynomial; the pullback target ring tracks E = e^f with
-    dE/dv = f_v E.  Each substitution power and each pulled wedge of
-    differentials is built on first use and kept for the section's lifetime
-    (forms are never changed in place).
+    dE/dv = f_v E.
     """
 
     def __init__(self, f_spec: dict):
@@ -398,30 +396,6 @@ class Section:
         self._subs = {v: ring.var(v) for v in ring.coords}
         self._subs.update(u=f, p=self.fx, q=self.fy, r=self.fz)
         self._dsubs = {v: ext_d(g) for v, g in self._subs.items()}
-        # (coordinate, exponent) -> substitution power; wedge names -> pulled dw
-        self._powers: dict[tuple[str, int], DifferentialForm] = {}
-        self._wedges: dict[tuple[str, ...], DifferentialForm] = {}
-
-    def _power(self, v: str, e: int) -> DifferentialForm:
-        key = (v, e)
-        if key not in self._powers:
-            try:
-                self._powers[key] = self._subs[v].power(e)
-            except KeyError:
-                raise ValueError(f"cannot pull back coordinate {v!r}") from None
-        return self._powers[key]
-
-    def _wedge(self, vs: tuple[str, ...]) -> DifferentialForm:
-        if vs not in self._wedges:
-            try:
-                pulled = [self._dsubs[v] for v in vs]
-            except KeyError as e:
-                raise ValueError(f"cannot pull back d{e.args[0]}") from None
-            dw = self.ring.one()
-            for dv in pulled:
-                dw = dw * dv
-            self._wedges[vs] = dw
-        return self._wedges[vs]
 
     def pullback(self, form: DifferentialForm) -> DifferentialForm:
         ring = self.ring
@@ -432,11 +406,20 @@ class Section:
         for (w, mono, s), c in form.terms.items():
             piece = DifferentialForm(ring, 0, {((), (), s): c})
             for i, e in mono:
-                piece = piece * self._power(names[i], e)
+                try:
+                    piece = piece * self._subs[names[i]].power(e)
+                except KeyError:
+                    raise ValueError(f"cannot pull back coordinate {names[i]!r}") from None
             coeffs[w] = coeffs[w] + piece if w in coeffs else piece
         out = DifferentialForm.zero(ring, form.degree)
         for w, pc in coeffs.items():
-            out = out + pc * self._wedge(tuple(names[i] for i in w))
+            dw = ring.one()
+            for i in w:
+                try:
+                    dw = dw * self._dsubs[names[i]]
+                except KeyError:
+                    raise ValueError(f"cannot pull back d{names[i]}") from None
+            out = out + pc * dw
         return out
 
 

@@ -344,30 +344,6 @@ class Operator:
         return [[float(x) for x in row] for row in self.data]
 
 
-def determinant(a: Operator) -> Fraction:
-    """Exact determinant by fraction-free elimination (Bareiss 1968).
-
-    Every division by the previous pivot is exact, so the entries stay
-    integers, each a minor of the numerator matrix.
-    """
-    if a.mode != EXACT:
-        raise ModeMismatchError("determinant requires exact mode")
-    m = [list(row) for row in a.numerators]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], a.denominator**n)
-
-
 def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = a b - b a."""
     return a @ b - b @ a

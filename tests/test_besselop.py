@@ -253,12 +253,11 @@ def _horner(coeffs, t):
 
 def _sum_rule_by_series(X, t, K, D):
     """The sum rule as one Horner-evaluated series per index, summed."""
-    X_powers = powers(X, D)
     acc = Operator.zero(X.dim, X.mode)
     tail_sum = 0.0
     t_abs = abs(float(t))
     for m in range(-K, K + 1):
-        s = bessel_series(X, m, D, powers=X_powers)
+        s = bessel_series(X, m, D)
         acc = acc + _horner(s.coeffs, t)
         tail_sum += s.tail_fn(t_abs)
     resid = frobenius(acc - Operator.identity(X.dim, X.mode))
@@ -388,11 +387,10 @@ def test_float_bessel_coeffs_match_per_degree_products(tower_draw, m):
 
 def _float_sum_rule_by_series(X, t, K, D):
     """The float sum rule as series_eval per index, added from zero in m order."""
-    X_powers = powers(X, D)
     acc = Operator.zero(X.dim, FLOAT)
     tail_sum = 0.0
     for m in range(-K, K + 1):
-        val, tb = series_eval(bessel_series(X, m, D, powers=X_powers), t)
+        val, tb = series_eval(bessel_series(X, m, D), t)
         acc = acc + val
         tail_sum += tb.value
     resid = frobenius(acc - Operator.identity(X.dim, FLOAT))
@@ -609,8 +607,7 @@ def _per_k_residuals(rel, L, D, k_range):
     """The float residual norms of `rel` formed one k at a time, from one
     series per index, and the roundoff bound over those series."""
     lo, hi = min(k_range), max(k_range)
-    L_powers = powers(L, D)
-    J = {m: bessel_series(L, m, D, powers=L_powers) for m in range(min(lo - 1, -hi), max(hi + 1, -lo) + 1)}
+    J = {m: bessel_series(L, m, D) for m in range(min(lo - 1, -hi), max(hi + 1, -lo) + 1)}
     _equation, short, residual_series = besselop._RELATIONS[rel]
     residuals = [residual_series(J, L, k).max_coeff_norm(D - short) for k in k_range]
     scale = max(1.0, frobenius(L)) * max(s.max_coeff_norm() for s in J.values())

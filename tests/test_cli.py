@@ -1,6 +1,7 @@
 """Scenario parsing, suite dispatch, exit codes, report determinism."""
 import json
 import os
+import random
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from heavenlab.cli import (
     parse_scenario,
     run_scenario,
 )
+from heavenlab.opcore import EXACT, Operator
 from heavenlab.report import render_structured
 
 HEIS = {
@@ -190,6 +192,19 @@ def test_main_verify_exit_codes(tmp_path, capsys):
         )
     )
     assert main(["verify", str(xfail)]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_stdout_report_equals_out_file(tmp_path, capsys, fmt):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict(HEIS, suites=["compatibility"])))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "r.out"
+    assert main(["verify", str(path), "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode("utf-8") == out.read_bytes()
 
 
 def test_tiny_exact_residual_fails_its_zero_bound(tmp_path):
@@ -534,6 +549,30 @@ def test_main_rejects_singular_B(tmp_path, capsys):
     }))
     assert main(["verify", str(path)]) == 2
     assert "operators.B: singular" in capsys.readouterr().err
+
+
+def test_build_instance_refuses_exactly_the_singular_B():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else Fraction(0)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+        singular = ref.rank() < n
+        zero = [[0] * n for _ in range(n)]
+        B = [[str(x) for x in r] for r in rows]
+        spec = {"operators": {"L": zero, "M0": zero, "P0": zero, "B": B}}
+        if singular:
+            with pytest.raises(ScenarioError, match="operators.B: singular"):
+                build_instance(spec)
+        else:
+            assert build_instance(spec).B == Operator.from_rows(rows, EXACT)
 
 
 # [L, P0] = -e12 but [L, M0] = e11 - e22: the cal form does not apply

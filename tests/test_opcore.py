@@ -18,7 +18,6 @@ from heavenlab.opcore import (
     Operator,
     combination,
     commutator,
-    determinant,
     frobenius,
     frobenius_stack,
     norm_bound,
@@ -444,24 +443,6 @@ def test_frobenius_stack_underflow_and_overflow():
     with np.errstate(over="ignore", under="ignore"):
         assert frobenius_stack(stack) == [0.0, math.inf, 5.0]
         assert frobenius_stack(stack) == [frobenius(Operator.from_rows(m, FLOAT)) for m in stack]
-
-
-def test_determinant_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(61)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        rows = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else Fraction(0)
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        if n > 1 and rng.random() < 0.3:
-            rows[-1] = [2 * x for x in rows[0]]
-        ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).det()
-        assert determinant(Operator.from_rows(rows, EXACT)) == Fraction(str(ref))
-    with pytest.raises(ModeMismatchError):
-        determinant(Operator.identity(2, FLOAT))
 
 
 # -- the combination kernel against the per-term route -------------------------

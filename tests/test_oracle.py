@@ -1,0 +1,87 @@
+"""The float cal form against true values that share no code with the lab.
+
+`oracle` sums M(t) = J_0(t ad_L)[M0] and P(t) = (t/2) J_1(t ad_L)[P0] in
+closed form where M0 and P0 are eigenvectors of ad_L, with mpmath's Bessel
+functions.  At each u, the float P and M of `eval_at_u` must lie within their
+reported tails of those values, plus a roundoff allowance: where the tail is
+below the float spacing of the value, as on explicit-diagonalizable3 at
+D = 32 and u <= -1, even a correctly rounded sum is farther from the true
+value than the tail.
+"""
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+import pytest
+
+import oracle
+from heavenlab.opcore import EPS, EXACT, Operator, frobenius
+from heavenlab.prolong import catalog_instance, eval_at_u, make_instance, solution_cal_form
+from perfbench.workloads import DENSE_DIMS, dense_operators
+
+# the explicit-operator instance of the golden reports: ad_L[M0] = M0 / 2
+DIAGONALIZABLE3 = {
+    "L": [[1, 1, 0], [0, -1, 0], [0, 0, "1/2"]],
+    "M0": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    "P0": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+}
+# the catalog fixtures whose M0 and P0 are eigenvectors of ad_L
+ORACLE_CATALOG = ("commuting2", "diag2")
+INSTANCES = {
+    "explicit-diagonalizable3": DIAGONALIZABLE3,
+    **{name: {k: getattr(catalog_instance(name), k).to_jsonable() for k in ("L", "M0", "P0")}
+       for name in ORACLE_CATALOG},
+    **{f"dense{n}-seed1": dense_operators(n, 1) for n in DENSE_DIMS},
+}
+U_SAMPLES = (-2, -1, 0, 1)
+
+
+def _distance(got: Operator, want: list[list]) -> mpmath.mpf:
+    """Frobenius distance of a float operator from rows of mpmath numbers;
+    each difference of the exact float and the true value rounds once."""
+    return mpmath.sqrt(sum(
+        (mpmath.mpf(g) - w) ** 2 for grow, wrow in zip(got.data, want) for g, w in zip(grow, wrow)
+    ))
+
+
+def _roundoff(L: Operator, A: Operator, nu: int, t: float, D: int) -> float:
+    """(D + 2) n EPS times a bound on the sum of the norms of the float
+    terms of J_nu(t ad_L)[A]: ||ad_L^j[A]|| <= (2||L||)^j ||A||, and the
+    series of J_nu with every term taken positive is I_nu."""
+    majorant = mpmath.besseli(nu, 2 * t * frobenius(L)) * frobenius(A)
+    return (D + 2) * L.dim * EPS * float(majorant)
+
+
+def test_oracle_eigenvalues():
+    assert oracle.eigenvalue(DIAGONALIZABLE3["L"], DIAGONALIZABLE3["M0"]) == Fraction(1, 2)
+    assert oracle.eigenvalue(INSTANCES["diag2"]["L"], INSTANCES["diag2"]["M0"]) == 2
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        oracle.eigenvalue([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("D", [16, 32])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_float_cal_form_within_its_tails_of_the_true_value(name, D):
+    ops = INSTANCES[name]
+    fi = make_instance(name, **{k: Operator.from_rows(v, EXACT) for k, v in ops.items()}).to_float()
+    sol = solution_cal_form(fi, D)
+    for u in U_SAMPLES:
+        at = eval_at_u(fi, sol, u)
+        P, M = oracle.cal_form(ops["L"], ops["M0"], ops["P0"], at.t)
+        m_bound = at.m_tail + _roundoff(fi.L, fi.M0, 0, at.t, D)
+        p_bound = at.p_tail + at.t / 2 * _roundoff(fi.L, fi.P0, 1, at.t, D - 1)
+        assert _distance(at.M, M) <= m_bound, (u, "M")
+        assert _distance(at.P, P) <= p_bound, (u, "P")
+
+
+def test_oracle_imports_nothing_from_the_lab():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module)
+    assert imported == {"__future__", "fractions", "mpmath"}
