@@ -9,7 +9,15 @@ from __future__ import annotations
 import itertools
 import math
 
-from .opcore import FLOAT, ModeMismatchError, Operator, combination, commutator, frobenius
+from .opcore import (
+    FLOAT,
+    ModeMismatchError,
+    Operator,
+    combination,
+    commutator,
+    frobenius,
+    operator_exp,
+)
 
 
 class AdjointContext:
@@ -70,8 +78,6 @@ def bch_conjugate(ctx: AdjointContext, a0: Operator, t: float) -> Operator:
     """e^{itL} A0 e^{-itL} via the matrix exponential, each factor to 1e-13."""
     if ctx.L.mode != FLOAT or a0.mode != FLOAT:
         raise ModeMismatchError("bch_conjugate requires float mode")
-    from .opcore import operator_exp
-
     itL = ctx.L.scale(1j * t)
     left = operator_exp(itL, 1e-13)
     right = operator_exp(itL.scale(-1.0), 1e-13)

@@ -29,13 +29,12 @@ import numpy as np
 from .besselop import RELATIONS, check_recurrence, sum_rule_check
 from .eds import (
     Section,
-    _eliminate,
     check_proposition1,
     closure_check,
     constraint_residuals,
     random_section,
 )
-from .opcore import EXACT, FLOAT, NonFiniteError, Operator
+from .opcore import EXACT, FLOAT, NonFiniteError, Operator, eliminate
 from .prolong import (
     OPERATORS,
     CouplingError,
@@ -199,10 +198,8 @@ def build_instance(spec: dict) -> ProlongationInstance:
             raise ScenarioError(f"operators: missing {required}")
     given = {k: _operator(ops[k], f"operators.{k}") for k in OPERATORS if k in ops}
     if "B" in given:
-        # B is invertible iff its numerator rows have full rank, that is,
-        # iff their elimination takes one pivot step per row
-        steps, _ = _eliminate([dict(enumerate(row)) for row in given["B"].numerators])
-        if len(steps) < given["B"].dim:
+        # B is invertible iff its numerator rows have full rank
+        if eliminate([dict(enumerate(row)) for row in given["B"].numerators]).rank < given["B"].dim:
             raise ScenarioError("operators.B: singular; B must be invertible")
     try:
         return make_instance(name, **given)

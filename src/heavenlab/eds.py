@@ -26,21 +26,23 @@ catalog fixture then satisfies every residual identically.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .opcore import (
     EPS,
+    Coeff,
     NonFiniteError,
     Operator,
+    as_coeff,
     check_finite,
     commutator,
+    eliminate,
     frobenius,
     frobenius_stack,
 )
@@ -50,28 +52,6 @@ from .report import VerificationReport, info_record, make_record
 Monomial = tuple[tuple[int, int], ...]  # ascending (coordinate index, exponent)
 Wedge = tuple[int, ...]  # ascending coordinate indices
 TermKey = tuple[Wedge, Monomial, int]  # (wedge, monomial, exponential power s)
-Coeff = Union[int, Fraction]  # an int where integral, else a Fraction
-
-
-def _coeff(c) -> Coeff:
-    """c as a coefficient: an int where it is integral, else a Fraction.
-
-    Takes anything Fraction() takes; a float is converted exactly.
-    """
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _quotient(a: Coeff, b: Coeff) -> Coeff:
-    """a / b exactly: an int when b divides a, else a Fraction; never a float."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coeff(Fraction(a, b))
 
 
 class Ring:
@@ -121,7 +101,7 @@ class Ring:
         for _i, e in mono:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        c = _coeff(c)
+        c = as_coeff(c)
         return DifferentialForm(self, 0, {((), mono, int(s)): c} if c else {})
 
 
@@ -165,7 +145,7 @@ def _add_term(out: dict[TermKey, Coeff], key: TermKey, v: Coeff) -> None:
     if x is None:
         out[key] = v
     else:
-        x = _coeff(x + v)
+        x = as_coeff(x + v)
         if x:
             out[key] = x
         else:
@@ -235,7 +215,7 @@ class DifferentialForm:
             for (wb, mb, sb), cb in other.terms.items():
                 sign, w = _merge_wedge(wa, wb)
                 if sign:
-                    v = _coeff(ca * cb)
+                    v = as_coeff(ca * cb)
                     _add_term(out, (w, _mono_mul(ma, mb), sa + sb), v if sign > 0 else -v)
         return DifferentialForm(self.ring, self.degree + other.degree, out)
 
@@ -257,15 +237,15 @@ class DifferentialForm:
             for pos, (j, e) in enumerate(mono):
                 if j == i:
                     lowered = ((j, e - 1),) if e > 1 else ()
-                    _add_term(out, (w, mono[:pos] + lowered + mono[pos + 1 :], s), _coeff(c * e))
+                    _add_term(out, (w, mono[:pos] + lowered + mono[pos + 1 :], s), as_coeff(c * e))
                     break
             if s and dexp is not None:
                 for (_w, m2, s2), c2 in dexp.terms.items():
-                    _add_term(out, (w, _mono_mul(mono, m2), s + s2), _coeff(c * s * c2))
+                    _add_term(out, (w, _mono_mul(mono, m2), s + s2), as_coeff(c * s * c2))
         return DifferentialForm(ring, self.degree, out)
 
     def l1(self) -> Coeff:
-        return _coeff(sum(abs(v) for v in self.terms.values()))
+        return as_coeff(sum(abs(v) for v in self.terms.values()))
 
     def variables(self) -> set[str]:
         return {self.ring.coords[i] for _w, mono, _s in self.terms for i, _e in mono}
@@ -491,92 +471,6 @@ def _monomials_up_to(varset: Sequence[str], degree: int, ring: Ring) -> list[Mon
     return out
 
 
-def _solve_exact(rows: list[dict[int, Coeff]], rhs: list[Coeff]) -> Optional[dict[int, Coeff]]:
-    """Sparse exact elimination; one solution with free unknowns = 0, or None.
-
-    `_eliminate(rows)` and then `_substitute` of rhs: the one-shot form of
-    the two passes that a membership system shares among its targets.
-    """
-    return _substitute(_eliminate(rows), rhs)
-
-
-def _eliminate(rows: list[dict[int, Coeff]]) -> tuple[list, list[int]]:
-    """The elimination pass of `_solve_exact`, which reads no right-hand
-    side: its steps, each (pivot row, pivot unknown, the pivot row's
-    entries, the (row, factor) of each row it clears), and the rows never
-    pivoted.
-
-    A pivot row p with pivot a clears b from row r as r <- r - (b/a) p.  A
-    column -> rows index finds the rows a pivot touches, and a heap of
-    (length, row) picks the next pivot row.  Deterministic: the sparsest row
-    wins, ties go to the lower row index, and within a row the smallest
-    unknown index is the pivot.  Entries are held as coefficients (an int
-    where integral, else a Fraction) and every division goes through
-    `_quotient`, so an integer system is solved in int arithmetic, no float
-    can enter, and the pivots, being chosen from lengths and indices only,
-    are those of a Fraction solve.
-    """
-    work = [{k: x for k, x in row.items() if x} for row in rows]
-    col_rows: dict[int, set[int]] = {}
-    for ridx, row in enumerate(work):
-        for k in row:
-            col_rows.setdefault(k, set()).add(ridx)
-    heap = [(len(row), ridx) for ridx, row in enumerate(work) if row]
-    heapq.heapify(heap)
-    active = [True] * len(work)
-    steps = []
-    while heap:
-        length, best = heapq.heappop(heap)
-        row = work[best]
-        if not active[best] or len(row) != length:
-            continue  # a stale entry: the row was pivoted or changed since
-        active[best] = False
-        piv = min(row)
-        a = row[piv]
-        for k in row:
-            col_rows[k].discard(best)
-        cleared = []
-        for ridx in col_rows.pop(piv):
-            r2 = work[ridx]
-            f = _quotient(r2.pop(piv), a)
-            for k, x in row.items():
-                if k == piv:
-                    continue
-                nx = _coeff(r2.get(k, 0) - f * x)
-                if nx:
-                    r2[k] = nx
-                    col_rows.setdefault(k, set()).add(ridx)
-                elif k in r2:
-                    del r2[k]
-                    col_rows[k].discard(ridx)
-            cleared.append((ridx, f))
-            if r2:
-                heapq.heappush(heap, (len(r2), ridx))
-        steps.append((best, piv, row, cleared))
-    return steps, [ridx for ridx, a in enumerate(active) if a]
-
-
-def _substitute(elim: tuple[list, list[int]], rhs: list[Coeff]) -> Optional[dict[int, Coeff]]:
-    """The right-hand-side pass: rhs through the row operations of `elim`,
-    None if a row never pivoted keeps a nonzero value, else back
-    substitution with the free unknowns 0."""
-    steps, free_rows = elim
-    val = list(rhs)
-    for best, _piv, _row, cleared in steps:
-        v = val[best]
-        if v:
-            for ridx, f in cleared:
-                val[ridx] = _coeff(val[ridx] - f * v)
-    if any(val[ridx] for ridx in free_rows):
-        return None
-    solution: dict[int, Coeff] = {}
-    for best, piv, row, _cleared in reversed(steps):
-        # the pivot itself is not solved yet, so `k in solution` skips it
-        acc = val[best] - sum(x * solution[k] for k, x in row.items() if k in solution)
-        solution[piv] = _quotient(acc, row[piv])
-    return solution
-
-
 class MembershipWorkspace:
     """What the membership systems over one tuple of generators share.
 
@@ -635,7 +529,7 @@ class MembershipWorkspace:
                             if idx == len(rows):
                                 rows.append({})
                             rows[idx][ci] = val
-        system = self._systems[key] = (basis, row_keys, _eliminate(rows))
+        system = self._systems[key] = (basis, row_keys, eliminate(rows))
         return system
 
 
@@ -697,7 +591,7 @@ def _membership_attempt(
         if idx is None:
             return None  # a term that no column reaches
         rhs[idx] = val
-    sol = _substitute(elim, rhs)
+    sol = elim.solve(rhs)
     if sol is None:
         return None
     sigma_terms: list[dict[TermKey, Coeff]] = [{} for _ in gens]

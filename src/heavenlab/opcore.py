@@ -1,4 +1,4 @@
-"""Dense operator arithmetic in two scalar modes.
+"""Dense operator arithmetic in two scalar modes, and exact sparse elimination.
 
 Exact mode stores a matrix as a numpy object array of Python ints, its
 numerators, over one positive int denominator shared by every entry.  The
@@ -35,6 +35,7 @@ an operand unchanged, which keeps concurrent readers safe.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 ScalarLike = Union[int, float, complex, Fraction, str]
+Coeff = Union[int, Fraction]  # an int where integral, else a Fraction
 
 
 class DimensionMismatchError(ValueError):
@@ -523,3 +525,101 @@ def operator_exp(a: Operator, tol: float = 1e-13) -> Operator:
     for _ in range(s):
         acc = acc @ acc
     return acc
+
+
+def as_coeff(c) -> Coeff:
+    """c, which Fraction() takes, as a coefficient: an int where it is
+    integral, else a Fraction.  A float is converted exactly."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when b divides a, else a Fraction; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return as_coeff(Fraction(a, b))
+
+
+class Elimination:
+    """The row operations of one `eliminate` call; `rank` counts its pivot steps."""
+
+    def __init__(self, steps: list, free_rows: list[int]):
+        self.rank, self._steps, self._free_rows = len(steps), steps, free_rows
+
+    def solve(self, rhs: Sequence[Coeff]) -> Optional[dict[int, Coeff]]:
+        """None if rhs is inconsistent with the rows, else a solution
+        {unknown: value} by back substitution, the free unknowns 0 and left out."""
+        val = list(rhs)
+        for best, _piv, _row, cleared in self._steps:
+            v = val[best]
+            if v:
+                for ridx, f in cleared:
+                    val[ridx] = as_coeff(val[ridx] - f * v)
+        if any(val[ridx] for ridx in self._free_rows):
+            return None
+        solution: dict[int, Coeff] = {}
+        for best, piv, row, _cleared in reversed(self._steps):
+            # the pivot itself is not solved yet, so `k in solution` skips it
+            acc = val[best] - sum(x * solution[k] for k, x in row.items() if k in solution)
+            solution[piv] = _quotient(acc, row[piv])
+        return solution
+
+
+def eliminate(rows: Sequence[dict[int, Coeff]]) -> Elimination:
+    """Sparse exact elimination of rows {unknown: coefficient}, which reads
+    no right-hand side.
+
+    A pivot row p with pivot a clears b from row r as r <- r - (b/a) p.  A
+    column -> rows index finds the rows a pivot touches, and a heap of
+    (length, row) picks the next pivot row.  Deterministic: the sparsest row
+    wins, ties go to the lower row index, and within a row the smallest
+    unknown index is the pivot.  Entries are held as coefficients (an int
+    where integral, else a Fraction) and every division goes through
+    `_quotient`, so an integer system is solved in int arithmetic, no float
+    can enter, and the pivots, being chosen from lengths and indices only,
+    are those of a Fraction solve.
+    """
+    work = [{k: x for k, x in row.items() if x} for row in rows]
+    col_rows: dict[int, set[int]] = {}
+    for ridx, row in enumerate(work):
+        for k in row:
+            col_rows.setdefault(k, set()).add(ridx)
+    heap = [(len(row), ridx) for ridx, row in enumerate(work) if row]
+    heapq.heapify(heap)
+    active = [True] * len(work)
+    steps = []
+    while heap:
+        length, best = heapq.heappop(heap)
+        row = work[best]
+        if not active[best] or len(row) != length:
+            continue  # a stale entry: the row was pivoted or changed since
+        active[best] = False
+        piv = min(row)
+        a = row[piv]
+        for k in row:
+            col_rows[k].discard(best)
+        cleared = []
+        for ridx in col_rows.pop(piv):
+            r2 = work[ridx]
+            f = _quotient(r2.pop(piv), a)
+            for k, x in row.items():
+                if k == piv:
+                    continue
+                nx = as_coeff(r2.get(k, 0) - f * x)
+                if nx:
+                    r2[k] = nx
+                    col_rows.setdefault(k, set()).add(ridx)
+                elif k in r2:
+                    del r2[k]
+                    col_rows[k].discard(ridx)
+            cleared.append((ridx, f))
+            if r2:
+                heapq.heappush(heap, (len(r2), ridx))
+        steps.append((best, piv, row, cleared))
+    return Elimination(steps, [ridx for ridx, a in enumerate(active) if a])

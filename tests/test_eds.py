@@ -11,7 +11,6 @@ from heavenlab import eds
 from heavenlab.eds import (
     BASE_RING,
     DifferentialForm,
-    _solve_exact,
     Ring,
     Section,
     base_ideal,
@@ -25,7 +24,16 @@ from heavenlab.eds import (
     parse_polynomial,
     random_section,
 )
-from heavenlab.opcore import EPS, FLOAT, NonFiniteError, Operator, commutator, frobenius
+from heavenlab.opcore import (
+    EPS,
+    FLOAT,
+    NonFiniteError,
+    Operator,
+    as_coeff,
+    commutator,
+    eliminate,
+    frobenius,
+)
 from heavenlab.prolong import (
     ProlongationInstance,
     catalog_instance,
@@ -257,18 +265,20 @@ def _integer_system(rng: random.Random):
     return rows, rhs, n_cols
 
 
-def test_solve_exact_coefficients_int_or_fraction_against_sympy_rank():
+def test_eliminate_coefficients_int_or_fraction_against_sympy_rank():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261019)
     solved = {"integer": 0, "rational": 0}
     for kind, make in (("integer", _integer_system), ("rational", _random_system)):
         for _ in range(80):
             rows, rhs, n_cols = make(rng)
-            sol = _solve_exact(rows, rhs)
+            elim = eliminate(rows)
+            sol = elim.solve(rhs)
             A = sympy.Matrix(
                 [[sympy.Rational(str(row.get(c, 0))) for c in range(n_cols)] for row in rows]
             )
             b = sympy.Matrix([sympy.Rational(str(v)) for v in rhs])
+            assert elim.rank == A.rank()
             assert (sol is not None) == (A.rank() == A.row_join(b).rank())
             if sol is None:
                 continue
@@ -283,17 +293,19 @@ def test_solve_exact_coefficients_int_or_fraction_against_sympy_rank():
         assert all(type(c) is int for sigma in w for c in sigma.terms.values())
 
 
-def test_solve_exact_random_sparse_systems_against_sympy_rank():
+def test_eliminate_random_sparse_systems_against_sympy_rank():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261018)
     consistent = 0
     for _ in range(120):
         rows, rhs, n_cols = _random_system(rng)
-        sol = _solve_exact(rows, rhs)
+        elim = eliminate(rows)
+        sol = elim.solve(rhs)
         A = sympy.Matrix(
             [[sympy.Rational(str(row.get(c, 0))) for c in range(n_cols)] for row in rows]
         )
         b = sympy.Matrix([sympy.Rational(str(v)) for v in rhs])
+        assert elim.rank == A.rank()
         solvable = A.rank() == A.row_join(b).rank()
         assert (sol is not None) == solvable
         if sol is not None:
@@ -622,7 +634,9 @@ def test_hfg_on_slope_grid_is_the_per_slope_formula_on_random_instances():
 
 def _one_pass_solve(rows, rhs):
     """The elimination with the right-hand side carried along, in one pass:
-    the reference for `_solve_exact`'s elimination and substitution passes."""
+    the reference for `eliminate` and `Elimination.solve`, its two passes.
+    Each division is as_coeff(Fraction(a, b)), the value and type of the
+    eliminator's own exact quotient."""
     work = [({k: x for k, x in row.items() if x}, v) for row, v in zip(rows, rhs)]
     col_rows = {}
     for ridx, (row, _) in enumerate(work):
@@ -644,18 +658,18 @@ def _one_pass_solve(rows, rhs):
             col_rows[k].discard(best)
         for ridx in col_rows.pop(piv):
             r2, v2 = work[ridx]
-            f = eds._quotient(r2.pop(piv), a)
+            f = as_coeff(Fraction(r2.pop(piv), a))
             for k, x in row.items():
                 if k == piv:
                     continue
-                nx = eds._coeff(r2.get(k, 0) - f * x)
+                nx = as_coeff(r2.get(k, 0) - f * x)
                 if nx:
                     r2[k] = nx
                     col_rows.setdefault(k, set()).add(ridx)
                 elif k in r2:
                     del r2[k]
                     col_rows[k].discard(ridx)
-            work[ridx] = (r2, eds._coeff(v2 - f * val))
+            work[ridx] = (r2, as_coeff(v2 - f * val))
             if r2:
                 heapq.heappush(heap, (len(r2), ridx))
         order.append((piv, row, val))
@@ -664,7 +678,7 @@ def _one_pass_solve(rows, rhs):
     solution = {}
     for piv, row, val in reversed(order):
         acc = val - sum(x * solution[k] for k, x in row.items() if k in solution)
-        solution[piv] = eds._quotient(acc, row[piv])
+        solution[piv] = as_coeff(Fraction(acc, row[piv]))
     return solution
 
 
@@ -676,14 +690,14 @@ def test_two_pass_solve_equals_one_pass_on_random_sparse_systems():
         for _ in range(150):
             rows, rhs, n_cols = make(rng)
             want = _one_pass_solve(rows, rhs)
-            got = _solve_exact(rows, rhs)
+            elim = eliminate(rows)
+            got = elim.solve(rhs)
             assert got == want
             if got is not None:
                 assert {c: type(v) for c, v in got.items()} == {c: type(v) for c, v in want.items()}
-            elim = eds._eliminate(rows)
             for _ in range(3):
                 other = [rng.randint(-2, 2) * rng.randint(0, 1) for _ in rows]
-                assert eds._substitute(elim, other) == _one_pass_solve(rows, other)
+                assert elim.solve(other) == _one_pass_solve(rows, other)
 
 
 def test_shared_workspace_gives_the_same_witnesses():
@@ -707,14 +721,14 @@ def test_closure_check_builds_each_product_and_system_once(monkeypatch):
     """closure_check(3) makes 6 searches over 4 distinct systems: 4
     eliminations, and each dv ^ theta_j expanded once."""
     eliminations, products = [], []
-    eliminate, product = eds._eliminate, eds.MembershipWorkspace._product
+    product = eds.MembershipWorkspace._product
 
     def counting_product(self, j, dw):
         if (j, dw) not in self._products:
             products.append((j, dw))
         return product(self, j, dw)
 
-    monkeypatch.setattr(eds, "_eliminate", lambda rows: eliminations.append(1) or eliminate(rows))
+    monkeypatch.setattr(eds, "eliminate", lambda rows: eliminations.append(1) or eliminate(rows))
     monkeypatch.setattr(eds.MembershipWorkspace, "_product", counting_product)
     report = closure_check(3)
     assert [r.verdict for r in report.records] == ["pass"] * 4
