@@ -8,7 +8,7 @@ so for m >= 0 the t^{m+2j} coefficient is
 (-1)^j / (j! (j+m)!) (1/2)^{m+2j} X^{m+2j}, and J_{-k} = (-1)^k J_k.  Series
 are truncated polynomials in t with Operator coefficients; the rational scalar
 coefficients are always computed exactly (big-integer factorials), and float
-mode reads each one rounded once, from the float twin of its table.
+mode rounds each one once, where it reads it.
 
 `bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
 tower of operators into a series with its tail, or into the family of
@@ -268,16 +268,6 @@ def bessel_terms(m: int, D: int) -> Iterator[tuple[int, Fraction]]:
     return iter(_bessel_table(m, D))
 
 
-@functools.lru_cache(maxsize=256)
-def _float_table(terms, m: int, D: int):
-    """The float twin of terms(m, D), built once per `terms` object: its
-    (deg, float(q)) pairs, their degrees and their q as an array.  Every
-    float route passes the `bessel_terms` this module holds at the call, so
-    a patched one gets, and every float route reads, its own twin."""
-    pairs = tuple((deg, float(q)) for deg, q in terms(m, D))
-    return pairs, [deg for deg, _ in pairs], np.array([q for _, q in pairs])
-
-
 # a verify reads about 50 tables; the bound keeps a long-lived process small
 @functools.lru_cache(maxsize=256)
 def _bessel_table(m: int, D: int) -> tuple[tuple[int, Fraction], ...]:
@@ -357,9 +347,9 @@ def bessel_coeffs(tower: Sequence[Operator], m, D: int, rate: float, norm: float
     For a sequence of indices m this is their family over the one tower,
     without tails: a list of series, one per index, in exact mode, and one
     batched float series with one row per index in float mode.  Float mode
-    stacks the tower once and fills each row's nonzero degrees from the
-    float twin of its table (`_float_table`); a degree with no term stays
-    the +0.0 of np.zeros.
+    stacks the tower once and fills each row's nonzero degrees with the
+    products by its q, each rounded once to a float; a degree with no term
+    stays the +0.0 of np.zeros.
     """
     ms = (m,) if isinstance(m, int) else tuple(m)
     first = tower[0]
@@ -377,9 +367,9 @@ def bessel_coeffs(tower: Sequence[Operator], m, D: int, rate: float, norm: float
         stack = np.stack([c._arr for c in tower[: D + 1]])
         arr = np.zeros((len(ms),) + stack.shape, stack.dtype)
         for row, mi in zip(arr, ms):
-            _, degs, qs = _float_table(bessel_terms, mi, D)
-            if degs:
-                row[degs] = stack[degs] * qs[:, None, None]
+            terms = tuple(bessel_terms(mi, D))
+            degs = [deg for deg, _ in terms]
+            row[degs] = stack[degs] * np.array([float(q) for _, q in terms])[:, None, None]
         family = OperatorSeries._checked(arr)
     if not isinstance(m, int):
         return family
@@ -405,13 +395,11 @@ def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:
 
     Used by the bilateral-sum solution where building full series objects for
     every index would repeat work.  Summation is in ascending degree, matching
-    the series construction.
+    the series construction.  In float mode each weight q t^deg is
+    float(q) * t**deg, q rounded once.
     """
-    mode = X_powers[0].mode
-    t = mode_scalar(t, mode)
-    D = len(X_powers) - 1
-    terms = bessel_terms(m, D) if mode == EXACT else _float_table(bessel_terms, m, D)[0]
-    return _tower_sum(X_powers, terms, t)
+    t = mode_scalar(t, X_powers[0].mode)
+    return _tower_sum(X_powers, bessel_terms(m, len(X_powers) - 1), t)
 
 
 def generating_oracle(X: Operator, m: int, t: float, nodes: int = 64) -> Operator:

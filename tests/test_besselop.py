@@ -36,6 +36,7 @@ from heavenlab.opcore import (
     frobenius,
     powers,
 )
+from heavenlab.prolong import make_instance, solution_cal_form
 
 from _helpers import random_float_operator, random_rational_operator
 
@@ -646,11 +647,14 @@ def test_batched_float_relations_raise_non_finite():
 
 
 def test_patched_bessel_terms_reaches_every_float_route(monkeypatch):
-    """The float twin of a table belongs to the bessel_terms it was made
-    from: patching bessel_terms after a twin was cached changes the float
-    recurrences, the sum rule and bessel_eval, and undoing the patch gives
-    the first results back."""
-    L = Operator.from_rows([[0.5, 0.25], [-0.5, 0.75]], FLOAT)
+    """Every float route reads bessel_terms when it is called: patching it
+    after the float routes have run once changes the float recurrences, the
+    sum rule, bessel_eval and the cal form, and undoing the patch gives the
+    first results back."""
+    A = Operator.from_rows([["1/4", -1], ["1/2", 0]], EXACT)
+    L_exact = Operator.from_rows([["1/2", "1/4"], ["-1/2", "3/4"]], EXACT)
+    fi = make_instance("patched", L_exact, A, A).to_float()
+    L = fi.L
     D, ks = 12, [-2, -1, 0, 1, 2]
     L_powers = powers(L, D)
 
@@ -658,10 +662,13 @@ def test_patched_bessel_terms_reaches_every_float_route(monkeypatch):
         recurrences = [
             tuple(r.residual for r in check_recurrence(rel, L, D, ks).records) for rel in RELATIONS
         ]
+        sol = solution_cal_form(fi, D)
         return (
             recurrences,
             sum_rule_residual(L, 1.5, 4, D)[0],
             bessel_eval(L_powers, 1, 1.5).data.tobytes(),
+            tuple(c.data.tobytes() for c in sol.p.coeffs),
+            tuple(c.data.tobytes() for c in sol.m.coeffs),
         )
 
     clean = results()
@@ -676,5 +683,6 @@ def test_patched_bessel_terms_reaches_every_float_route(monkeypatch):
     # negative_index holds for any damping that is the same for J_k and J_{-k}
     assert [a != b for a, b in zip(clean[0], mutant[0])] == [False, True, True, True, True]
     assert clean[1] != mutant[1] and clean[2] != mutant[2]
+    assert clean[3] != mutant[3] and clean[4] != mutant[4]
     monkeypatch.undo()
     assert results() == clean

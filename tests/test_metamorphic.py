@@ -2,13 +2,17 @@
 
 Change of basis: conjugating every operator of an instance by an invertible
 rational S describes the same operators in another basis, so `verify` gives
-the same exit code and fails the same checks.  Input contract: a mutated
-scenario exits 0, 1 or 2, prints no traceback and no warning, and prints the
-same report when it is run again.
+the same exit code and fails the same checks.  Mode: exact and float mode
+report the same checks; a check that exact mode passes with residual 0 passes
+in float mode, and one that exact mode fails by more than the float bound
+fails in float mode.  Input contract: a mutated scenario exits 0, 1 or 2,
+prints no traceback and no warning, and prints the same report when it is run
+again.
 """
 import dataclasses
 import json
 import random
+import traceback
 import warnings
 
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from heavenlab import cli
 from heavenlab.cli import main
 from heavenlab.opcore import EXACT, Operator
-from heavenlab.prolong import OPERATORS, catalog_instance
+from heavenlab.prolong import OPERATORS, catalog_instance, catalog_names
 from heavenlab.report import make_record
 
 # -- change of basis -------------------------------------------------------------
@@ -67,13 +71,19 @@ def _bases() -> dict[str, tuple[Operator, Operator]]:
 BASES = _bases()
 
 
-def _verdicts(tmp_path, capsys, name: str, mode: str, instance: dict) -> tuple:
-    """(exit code, sorted failed suite/check ids) of verify at the defaults."""
+def _report(tmp_path, capsys, name: str, mode: str, instance: dict, **keys) -> tuple:
+    """(exit code, the structured report's checks) of verify, at the
+    defaults but for `keys`."""
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"name": name, "mode": mode, "instance": instance}))
+    path.write_text(json.dumps({"name": name, "mode": mode, "instance": instance, **keys}))
     capsys.readouterr()
     code = main(["verify", str(path), "--format", "structured"])
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, json.loads(capsys.readouterr().out)["checks"]
+
+
+def _verdicts(tmp_path, capsys, name: str, mode: str, instance: dict) -> tuple:
+    """(exit code, sorted failed suite/check ids) of verify at the defaults."""
+    code, checks = _report(tmp_path, capsys, name, mode, instance)
     return code, sorted(f"{c['suite']}/{c['check_id']}" for c in checks if c["verdict"] == "fail")
 
 
@@ -119,6 +129,98 @@ def test_change_of_basis_sees_a_basis_dependent_residual(tmp_path, capsys, monke
         != _verdicts(tmp_path, capsys, name, mode, _conjugated(name))
     ]
     assert broken
+
+
+# -- mode ----------------------------------------------------------------------
+
+# a dense L: no ad_L^j[M0] through j = 16 is zero, so no series ends early
+NONCOMMUTING3 = {
+    "L": [["1/2", -1, 1], [2, -1, "1/2"], [-1, 2, -2]],
+    "M0": [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+    "P0": [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+}
+MODE_INSTANCES = {
+    **{name: {"catalog": name} for name in catalog_names()},
+    "noncommuting3": {"name": "noncommuting3", "operators": NONCOMMUTING3},
+}
+
+
+def _mode_violations(tmp_path, capsys, name: str) -> list[str]:
+    """The checks of `name` at D = 16 that break the mode relation.
+
+    Records are paired in report order: a check id repeats across u samples,
+    in the same order in both modes.  A suite that float mode reports as
+    `numeric-breakdown` has no float checks to compare.
+    """
+    instance = MODE_INSTANCES[name]
+    _, exact = _report(tmp_path, capsys, name, "exact", instance, degree=16)
+    _, floats = _report(tmp_path, capsys, name, "float", instance, degree=16)
+    broken = {c["suite"] for c in floats if c["check_id"] == "numeric-breakdown"}
+    exact = [c for c in exact if c["suite"] not in broken]
+    floats = [c for c in floats if c["suite"] not in broken]
+    ids = [[f"{c['suite']}/{c['check_id']}" for c in checks] for checks in (exact, floats)]
+    if ids[0] != ids[1]:
+        return ["check ids differ"]
+    out = []
+    for check, e, f in zip(ids[0], exact, floats):
+        if e["verdict"] == "pass" and e["residual"] == 0.0 and f["verdict"] != "pass":
+            out.append(f"{check}: exact pass at residual 0, float {f['verdict']}")
+        if e["verdict"] == "fail" and e["residual"] > f["bound"] and f["verdict"] != "fail":
+            out.append(f"{check}: exact fail above the float bound, float {f['verdict']}")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODE_INSTANCES))
+def test_float_mode_keeps_every_exact_verdict_it_can_see(tmp_path, capsys, name):
+    assert _mode_violations(tmp_path, capsys, name) == []
+
+
+def _plant_float_fields(monkeypatch, check: str, **fields) -> None:
+    """Float verify reports every record `check` (suite/check_id) with
+    `fields` replaced and its verdict recomputed."""
+    run_suite = cli.run_suite
+
+    def replaced(r):
+        if f"{r.suite}/{r.check_id}" != check:
+            return r
+        r = dataclasses.replace(r, **fields)
+        return make_record(r.check_id, r.suite, r.equation, r.residual, r.bound, r.detail)
+
+    def planted(sc, suite):
+        report = run_suite(sc, suite)
+        if sc.mode == EXACT:
+            return report
+        return dataclasses.replace(report, records=tuple(map(replaced, report.records)))
+
+    monkeypatch.setattr(cli, "run_suite", planted)
+
+
+@pytest.mark.parametrize(
+    "name, check, fields, want",
+    [
+        # the float residual here is roundoff, so a bound of 0 fails it
+        (
+            "noncommuting3",
+            "bessel-recurrences/derivative_diff[k=-1]",
+            {"bound": 0.0},
+            "exact pass at residual 0, float fail",
+        ),
+        # the exact residual of each u sample is far above the float bound
+        (
+            "expected-fail2",
+            "prolongation/commutation",
+            {"residual": 0.0},
+            "exact fail above the float bound, float pass",
+        ),
+    ],
+    ids=["bound-below-roundoff", "residual-dropped"],
+)
+def test_mode_relation_sees_a_planted_float_verdict(
+    tmp_path, capsys, monkeypatch, name, check, fields, want
+):
+    _plant_float_fields(monkeypatch, check, **fields)
+    violations = _mode_violations(tmp_path, capsys, name)
+    assert violations and all(v == f"{check}: {want}" for v in violations)
 
 
 # -- input contract --------------------------------------------------------------
@@ -218,13 +320,34 @@ _MUTATIONS = st.lists(
 
 
 def _run(path, capsys) -> tuple:
-    """(exit code, stdout, stderr, warnings raised) of one in-process verify."""
+    """(exit code, stdout, stderr, warnings raised) of one in-process verify.
+
+    An exception that escapes main ends the run as the interpreter would end
+    `heavenlab verify`: SystemExit with its code, anything else with exit
+    code 1 and its traceback on stderr.
+    """
     capsys.readouterr()
+    escaped = ""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["verify", str(path)])
+        try:
+            code = main(["verify", str(path)])
+        except SystemExit as e:
+            code = e.code
+        except Exception:
+            code, escaped = 1, traceback.format_exc()
     out, err = capsys.readouterr()
-    return code, out, err, [str(w.message) for w in caught]
+    return code, out, err + escaped, [str(w.message) for w in caught]
+
+
+def _check_input_contract(tmp_path, capsys, doc: dict) -> None:
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err, caught = _run(path, capsys)
+    assert code in (0, 1, 2), f"exit code {code}"
+    assert "Traceback" not in err, "traceback on stderr"
+    assert "Warning" not in err and caught == [], "warning"
+    assert _run(path, capsys) == (code, out, err, caught), "rerun differs"
 
 
 @settings(
@@ -242,9 +365,26 @@ def test_mutated_scenario_keeps_the_input_contract(tmp_path, capsys, mode, mutat
             _set(doc, path, value)
         except (KeyError, IndexError, TypeError):
             pass  # an earlier change removed the path's parent
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(doc))
-    code, out, err, caught = _run(path, capsys)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err and "Warning" not in err and caught == []
-    assert _run(path, capsys) == (code, out, err, caught)
+    _check_input_contract(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize(
+    "exit_path, broken",
+    [(KeyError("planted"), "traceback on stderr"), (SystemExit(3), "exit code 3")],
+    ids=["escaped-KeyError", "exit-3"],
+)
+def test_input_contract_sees_a_planted_exit_path(tmp_path, capsys, monkeypatch, exit_path, broken):
+    """A parser that leaves by `exit_path` on a marker key breaks the
+    contract; the same scenario without the marker keeps it."""
+    parse_scenario = cli.parse_scenario
+
+    def planted(text, *args, **kwargs):
+        if "planted" in json.loads(text):
+            raise exit_path
+        return parse_scenario(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_scenario", planted)
+    doc = {**BASE, "mode": "exact"}
+    _check_input_contract(tmp_path, capsys, doc)
+    with pytest.raises(AssertionError, match=broken):
+        _check_input_contract(tmp_path, capsys, {**doc, "planted": 1})
