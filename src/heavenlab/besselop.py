@@ -10,9 +10,9 @@ are truncated polynomials in t with Operator coefficients; the rational scalar
 coefficients are always computed exactly (big-integer factorials), and float
 mode rounds each one once, where it reads it.
 
-`bessel_terms` yields those scalars and `bessel_coeffs` lays them over a
-tower of operators into a series with its tail, or into the family of
-several indices over the one tower: the powers of X (`opcore.powers`) give
+`bessel_terms` yields those scalars and `bessel_family` lays them over a
+tower of operators, for several indices over the one tower; `bessel_coeffs`
+is one index of it with its tail.  The powers of X (`opcore.powers`) give
 J_m(tX), and the ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in
 `prolong`.
 
@@ -335,45 +335,46 @@ def bilateral_tail(r: float, K: int) -> float:
             return math.inf
 
 
-def bessel_coeffs(tower: Sequence[Operator], m, D: int, rate: float, norm: float):
-    """J_m laid over `tower`, through degree D, with its tail.
+def bessel_family(tower: Sequence[Operator], ms: Sequence[int], D: int):
+    """J_m laid over `tower` for each index m of `ms`, through degree D.
 
     Coefficient deg is tower[deg].scale(q) for each (deg, q) of
     `bessel_terms`, and zero at every other degree.  Over the powers of X
-    this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].  `rate`
-    and `norm` bound the tower, ||tower[j]|| <= norm * rate^j, so the dropped
-    terms at |t| are at most norm * `bessel_tail`(|t| rate / 2, m, D).
+    this is J_m(tX); over the ad tower of A it is J_m(t ad_L)[A].
 
-    For a sequence of indices m this is their family over the one tower,
-    without tails: a list of series, one per index, in exact mode, and one
-    batched float series with one row per index in float mode.  Float mode
-    stacks the tower once and fills each row's nonzero degrees with the
-    products by its q, each rounded once to a float; a degree with no term
-    stays the +0.0 of np.zeros.
+    Exact mode gives a list of series, one per index.  Float mode gives one
+    batched series with one row per index: it stacks the tower once and
+    fills each row's nonzero degrees with the products by its q, each
+    rounded once to a float; a degree with no term stays the +0.0 of
+    np.zeros.
     """
-    ms = (m,) if isinstance(m, int) else tuple(m)
     first = tower[0]
     if first.mode == EXACT:
         family = []
-        for mi in ms:
+        for m in ms:
             coeffs = [Operator.zero(first.dim, EXACT)] * (D + 1)
-            for deg, q in bessel_terms(mi, D):
+            for deg, q in bessel_terms(m, D):
                 coeffs[deg] = tower[deg].scale(q)
             family.append(OperatorSeries(coeffs))
-    else:
-        # the products tower[deg]._arr * float(q); only a degree-0 entry (I,
-        # or a real A) can be real in a complex tower, and its q is J_0's 1,
-        # so promoting it with the stack keeps the bits
-        stack = np.stack([c._arr for c in tower[: D + 1]])
-        arr = np.zeros((len(ms),) + stack.shape, stack.dtype)
-        for row, mi in zip(arr, ms):
-            terms = tuple(bessel_terms(mi, D))
-            degs = [deg for deg, _ in terms]
-            row[degs] = stack[degs] * np.array([float(q) for _, q in terms])[:, None, None]
-        family = OperatorSeries._checked(arr)
-    if not isinstance(m, int):
         return family
-    s = family[0]
+    # the products tower[deg]._arr * float(q); only a degree-0 entry (I,
+    # or a real A) can be real in a complex tower, and its q is J_0's 1,
+    # so promoting it with the stack keeps the bits
+    stack = np.stack([c._arr for c in tower[: D + 1]])
+    arr = np.zeros((len(ms),) + stack.shape, stack.dtype)
+    for row, m in zip(arr, ms):
+        terms = tuple(bessel_terms(m, D))
+        degs = [deg for deg, _ in terms]
+        row[degs] = stack[degs] * np.array([float(q) for _, q in terms])[:, None, None]
+    return OperatorSeries._checked(arr)
+
+
+def bessel_coeffs(tower: Sequence[Operator], m: int, D: int, rate: float, norm: float):
+    """J_m laid over `tower` through degree D (`bessel_family`), with its
+    tail.  `rate` and `norm` bound the tower, ||tower[j]|| <= norm * rate^j,
+    so the dropped terms at |t| are at most norm * `bessel_tail`(|t| rate / 2,
+    m, D)."""
+    s = bessel_family(tower, (m,), D)[0]
     s.tail_fn = lambda t_abs: norm * bessel_tail(t_abs * rate / 2.0, m, D)
     return s
 
@@ -485,7 +486,7 @@ def check_recurrence(
     relations are compared through degree D-1, derivative relations through
     D-2, where both sides' truncations are complete.
 
-    The family J is one `bessel_coeffs` call over the powers of L, laid out
+    The family J is one `bessel_family` call over the powers of L, laid out
     in numpy's index order, m = 0..hi and then lo..-1, so that J[k] reads
     index k for negative k as well.  Exact mode forms the residual once per
     k.  Float mode forms it once, for every k at once, over a batch of rows;
@@ -504,7 +505,7 @@ def check_recurrence(
     # k -+ 1 for the recurrences, -k for negative_index; the range spans 0
     lo, hi = min(k_range[0] - 1, -k_range[-1]), max(k_range[-1] + 1, -k_range[0])
     ms = [*range(0, hi + 1), *range(lo, 0)]
-    J = bessel_coeffs(operator_powers(L, D), ms, D, frobenius(L), 1.0)
+    J = bessel_family(operator_powers(L, D), ms, D)
     exact = L.mode == EXACT
     equation, short, residual_series = _RELATIONS[rel]
     through = D - short
@@ -561,7 +562,7 @@ def sum_rule_residual(X: Operator, t, K: int, D: int) -> tuple[float, float]:
         # series_eval's Horner on every series of the family at once, then
         # the values added in m order from zero: the same operations on
         # every entry
-        stack = bessel_coeffs(powers, ms, D, nX, 1.0)._arr
+        stack = bessel_family(powers, ms, D)._arr
         vals = stack[:, -1]
         for j in range(D - 1, -1, -1):
             vals = vals * t + stack[:, j]

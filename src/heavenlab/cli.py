@@ -4,10 +4,11 @@
     heavenlab catalog list
     heavenlab catalog show <name>
 
-Exit status: 0 all required checks passed, 1 at least one failed, 2 the
-scenario or command line could not be parsed, or the report file could not be
-opened; 2 comes before any suite runs.  Structured output is deterministic:
-same scenario, same seed, byte-identical report.
+Exit status: 0 all required checks passed, 1 at least one failed or stdout
+was closed early (quietly), 2 the scenario or command line could not be
+parsed, or the report file could not be opened; 2 comes before any suite
+runs.  Structured output is deterministic: same scenario, same seed,
+byte-identical report.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -79,10 +81,9 @@ class Scenario:
     closure_cap: int
     built_sections: tuple[Section, ...]
     built_scalar: tuple  # (omega, p0, m0, t_samples) of scalar-reduction
-    built_instance: Optional[ProlongationInstance] = None  # set by run_scenario
 
 
-_BUILT = ("built_sections", "built_scalar", "built_instance")  # neither keys nor echoed
+_BUILT = ("built_sections", "built_scalar")  # neither keys nor echoed
 
 
 def _fraction(value, what: str) -> Fraction:
@@ -342,25 +343,20 @@ def _suite_seed(seed: int, suite: str) -> int:
     return int(h[:12], 16)
 
 
-def _mode_instance(sc: Scenario) -> ProlongationInstance:
-    return sc.built_instance if sc.mode == EXACT else sc.built_instance.to_float()
-
-
 # -- suite runners ------------------------------------------------------------
 
 
-def _run_bessel(sc: Scenario) -> VerificationReport:
-    L = _mode_instance(sc).L
+def _run_bessel(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
+    L = inst.L
     ks = range(sc.k_range[0], sc.k_range[1] + 1)
     reports = [check_recurrence(rel, L, sc.degree, ks) for rel in RELATIONS]
     reports.append(sum_rule_check(L, sc.t_samples, sc.cutoff, sc.degree))
     return merge_reports("bessel-recurrences", reports)
 
 
-def _run_prolongation(sc: Scenario) -> VerificationReport:
+def _run_prolongation(sc: Scenario, inst: ProlongationInstance) -> VerificationReport:
     return merge_reports(
-        "prolongation",
-        [prolongation_residual(sc.built_instance, u, sc.degree) for u in sc.u_samples],
+        "prolongation", [prolongation_residual(inst, u, sc.degree) for u in sc.u_samples]
     )
 
 
@@ -371,7 +367,7 @@ _DEFAULT_SECTIONS = (
 )
 
 
-def _run_proposition1(sc: Scenario) -> VerificationReport:
+def _run_proposition1(sc: Scenario, _) -> VerificationReport:
     reports = [
         _prefix_records(check_proposition1(section), f"fixed{i}")
         for i, section in enumerate(sc.built_sections or map(Section, _DEFAULT_SECTIONS))
@@ -391,36 +387,36 @@ def _prefix_records(rep: VerificationReport, tag: str) -> VerificationReport:
     return dataclasses.replace(rep, records=records)
 
 
-# suite -> (needs operator initial data, runner(sc)), in the order
-# a default run uses and every report echoes
+_MODE = "mode"  # the instance in the scenario's mode, rounded in a float scenario
+# suite -> (the instance it reads: None, EXACT or _MODE; runner(sc, inst)), in
+# the order a default run uses and every report echoes; bch, prolongation and
+# eds-constraints read the exact instance and round it themselves
 _SUITE_TABLE = {
-    "bessel-recurrences": (True, _run_bessel),
-    "ode-residuals": (True, lambda sc: ode_check(_mode_instance(sc), sc.degree)),
+    "bessel-recurrences": (_MODE, _run_bessel),
+    "ode-residuals": (_MODE, lambda sc, inst: ode_check(inst, sc.degree)),
     "solution-equivalence": (
-        True,
-        lambda sc: equivalence_check(_mode_instance(sc), sc.t_samples, sc.cutoff, sc.degree),
+        _MODE,
+        lambda sc, inst: equivalence_check(inst, sc.t_samples, sc.cutoff, sc.degree),
     ),
-    "bch": (True, lambda sc: bch_check(sc.built_instance, sc.t_samples, sc.degree)),
-    "prolongation": (True, _run_prolongation),
-    "initial-conditions": (
-        True,
-        lambda sc: initial_condition_check(_mode_instance(sc), sc.degree),
-    ),
-    "scalar-reduction": (False, lambda sc: scalar_check(*sc.built_scalar, sc.degree)),
-    "eds-proposition1": (False, _run_proposition1),
-    "eds-closure": (False, lambda sc: closure_check(cap=sc.closure_cap)),
+    "bch": (EXACT, lambda sc, inst: bch_check(inst, sc.t_samples, sc.degree)),
+    "prolongation": (EXACT, _run_prolongation),
+    "initial-conditions": (_MODE, lambda sc, inst: initial_condition_check(inst, sc.degree)),
+    "scalar-reduction": (None, lambda sc, _: scalar_check(*sc.built_scalar, sc.degree)),
+    "eds-proposition1": (None, _run_proposition1),
+    "eds-closure": (None, lambda sc, _: closure_check(cap=sc.closure_cap)),
     "eds-constraints": (
-        True,
-        lambda sc: constraint_residuals(sc.built_instance, u_samples=sc.u_samples, D=sc.degree),
+        EXACT,
+        lambda sc, inst: constraint_residuals(inst, u_samples=sc.u_samples, D=sc.degree),
     ),
-    "compatibility": (True, lambda sc: compatibility_check(sc.built_instance)),
+    "compatibility": (EXACT, lambda sc, inst: compatibility_check(inst)),
 }
 SUITES = tuple(_SUITE_TABLE)
-INSTANCE_FREE = tuple(s for s, (needs, _) in _SUITE_TABLE.items() if not needs)
+INSTANCE_FREE = tuple(s for s, (reads, _) in _SUITE_TABLE.items() if reads is None)
 
 
-def run_suite(sc: Scenario, suite: str) -> VerificationReport:
-    """One suite's report.
+def run_suite(sc: Scenario, suite: str, inst: Optional[ProlongationInstance]) -> VerificationReport:
+    """One suite's report, on `inst` (exact, or None without an instance) in
+    the arithmetic that the suite's `_SUITE_TABLE` entry names.
 
     A suite that cannot run is recorded as one failed check in place of its
     own: `coupling-precondition` when the instance breaks [L, P0] = [L, M0],
@@ -428,11 +424,12 @@ def run_suite(sc: Scenario, suite: str) -> VerificationReport:
     overflows.  numpy's overflow warnings are silenced: the finiteness check
     on every float result is what reports an overflow.
     """
-    needs_instance, runner = _SUITE_TABLE[suite]
-    assert sc.built_instance is not None or not needs_instance
+    reads, runner = _SUITE_TABLE[suite]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return runner(sc)
+            if reads == _MODE and sc.mode == FLOAT:
+                inst = inst.to_float()
+            return runner(sc, inst)
     except CouplingError as e:
         record = make_record(
             "coupling-precondition",
@@ -458,9 +455,8 @@ def run_scenario(sc: Scenario) -> VerificationReport:
     """The report of every suite of `sc`, a scenario parse_scenario checked."""
     # keeping parse_scenario's instance would be simpler, but perfbench pins the 1374 exact
     # matmuls of a nilpotent6 verify, two builds of 4 each among them; keeping it reads 1370
-    if sc.instance_spec is not None:
-        sc = dataclasses.replace(sc, built_instance=build_instance(sc.instance_spec))
-    reports = [run_suite(sc, suite) for suite in sc.suites]
+    inst = None if sc.instance_spec is None else build_instance(sc.instance_spec)
+    reports = [run_suite(sc, suite, inst) for suite in sc.suites]
     merged = merge_reports(sc.name, reports)
     return dataclasses.replace(merged, scenario=scenario_digest(sc))
 
@@ -558,7 +554,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_show.set_defaults(func=_cmd_catalog)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:
+        # the flush at exit then writes to devnull (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

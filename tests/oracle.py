@@ -6,7 +6,9 @@ If ad_L[A] = [L, A] = mu A for a rational mu, then ad_L^j[A] = mu^j A, and
     M(t) = J_0(t mu_M) M0,    P(t) = (t/2) J_1(t mu_P) P0
 
 with J_nu the classical Bessel function (`cal_form`).  Each mu is found in
-Fraction arithmetic and each J_nu comes from mpmath.
+Fraction arithmetic and each J_nu comes from mpmath.  An M0 or P0 that is a
+sum of eigenvectors A_k, each with its own mu_k, is given as the list of its
+parts, and its term is the sum of J_0(t mu_k) A_k or (t/2) J_1(t mu_k) A_k.
 
 If the tower A, ad_L[A], ad_L^2[A], ... reaches 0, each series is a finite
 sum, exact at every rational t (`ended_cal_form`):
@@ -58,12 +60,20 @@ def eigenvalue(L, A) -> Fraction:
 
 def cal_form(L, M0, P0, t: float) -> tuple[list[list], list[list]]:
     """(P(t), M(t)) as rows of mpmath numbers to DPS decimal digits; t is
-    taken exactly, so a float t is the t of the float evaluation."""
+    taken exactly, so a float t is the t of the float evaluation.  M0 and P0
+    are each the rows of an eigenvector of ad_L, or a list of such rows."""
     with mpmath.workdps(DPS):
         t = mpmath.mpf(t)
-        j0 = mpmath.besselj(0, t * _mpf(eigenvalue(L, M0)))
-        j1 = t / 2 * mpmath.besselj(1, t * _mpf(eigenvalue(L, P0)))
-        return _scaled(j1, P0), _scaled(j0, M0)
+        P = _eigen_sum(L, P0, lambda mu: t / 2 * mpmath.besselj(1, t * mu))
+        return P, _eigen_sum(L, M0, lambda mu: mpmath.besselj(0, t * mu))
+
+
+def _eigen_sum(L, A, f) -> list[list]:
+    """sum_k f(mu_k) A_k over the parts A_k of A (A itself when it is one
+    matrix), where [L, A_k] = mu_k A_k."""
+    parts = A if isinstance(A[0][0], list) else [A]
+    terms = [_scaled(f(_mpf(eigenvalue(L, part))), part) for part in parts]
+    return [[sum(xs) for xs in zip(*rows)] for rows in zip(*terms)]
 
 
 def _mpf(x: Fraction):

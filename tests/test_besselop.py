@@ -15,6 +15,7 @@ from heavenlab.besselop import (
     OperatorSeries,
     bessel_coeffs,
     bessel_eval,
+    bessel_family,
     bessel_series,
     bessel_tail,
     bessel_terms,
@@ -217,6 +218,15 @@ def test_recurrences_float_mode_within_roundoff():
     for rel in RELATIONS:
         rep = check_recurrence(rel, L, 16, range(-4, 5))
         assert rep.all_passed(), (rel, rep.failed_records())
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_recurrences_exact_compute_no_float(rel):
+    """An exact check reads no float: at 10^400, which no float holds, every
+    relation still passes with residual and bound 0."""
+    L = Operator.from_rows([[10**400, 0], [0, 0]], EXACT)
+    rep = check_recurrence(rel, L, 8, range(-4, 5))
+    assert [(r.residual, r.bound, r.verdict) for r in rep.records] == [(0.0, 0.0, "pass")] * 9
 
 
 def test_recurrence_k_outside_support_raises():
@@ -593,7 +603,7 @@ def test_float_family_rows_match_per_index_series(tower_draw, ms):
     of the per-degree products tower[deg] * float(q), signed zeros and
     complex towers included."""
     n, tower, D = tower_draw
-    family = bessel_coeffs(tower, ms, D, 1.0, 1.0)
+    family = bessel_family(tower, ms, D)
     dtype = np.result_type(*(c.data.dtype for c in tower))
     assert family._arr.shape == (len(ms), D + 1, n, n) and family._arr.dtype == dtype
     for i, m in enumerate(ms):

@@ -2,8 +2,11 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -402,6 +405,30 @@ def test_main_catalog_list_and_show(capsys):
     assert doc["compatibility"] == {"ad-commutation": "pass", "coupling": "pass"}
 
     assert main(["catalog", "show", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "show", "nilpotent6"],
+    ["catalog", "list"],
+    ["verify", "{scenario}"],
+])
+def test_closed_stdout_ends_every_command_quietly(tmp_path, argv):
+    # the read end is closed before the command starts, so its first write or
+    # flush to stdout fails, however short the output, unlike a pipe into head
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"name": "n6", "instance": {"catalog": "nilpotent6"}}))
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heavenlab", *(a.format(scenario=scenario) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (1, "")
 
 
 def test_main_rejects_unknown_suite_flag(tmp_path):

@@ -186,8 +186,8 @@ def _plant_float_fields(monkeypatch, check: str, **fields) -> None:
         r = dataclasses.replace(r, **fields)
         return make_record(r.check_id, r.suite, r.equation, r.residual, r.bound, r.detail)
 
-    def planted(sc, suite):
-        report = run_suite(sc, suite)
+    def planted(sc, suite, inst):
+        report = run_suite(sc, suite, inst)
         if sc.mode == EXACT:
             return report
         return dataclasses.replace(report, records=tuple(map(replaced, report.records)))

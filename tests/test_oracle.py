@@ -1,8 +1,8 @@
 """The cal form against true values that share no code with the lab.
 
 `oracle` sums M(t) = J_0(t ad_L)[M0] and P(t) = (t/2) J_1(t ad_L)[P0] in
-closed form where M0 and P0 are eigenvectors of ad_L, with mpmath's Bessel
-functions, and as finite Fraction sums where the towers of M0 and P0 end.  At
+closed form where M0 and P0 are eigenvectors of ad_L, or sums of
+eigenvectors that the test splits for it, with mpmath's Bessel functions, and as finite Fraction sums where the towers of M0 and P0 end.  At
 each u, the float P and M of `eval_at_u` must lie within their reported tails
 of those values, plus a roundoff allowance: where the tail is below the float
 spacing of the value, as on explicit-diagonalizable3 at D = 32 and u <= -1,
@@ -30,6 +30,29 @@ DIAGONALIZABLE3 = {
 }
 # the catalog fixtures whose M0 and P0 are eigenvectors of ad_L
 ORACLE_CATALOG = ("commuting2", "diag2")
+
+
+def _unit(n: int, i: int, j: int) -> list[list[int]]:
+    return [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+
+
+# instances whose M0 = P0 is a sum of ad_L eigenvectors E_ij, with
+# eigenvalues l_i - l_j: L and the parts, which the oracle is handed
+SPLIT = {
+    "split-diag2": ([[1, 0], [0, -1]], [_unit(2, 0, 1), _unit(2, 1, 0)]),  # mu = 2, -2
+    "split-diag3": (  # mu = 2, -1/2, -3/2
+        [[1, 0, 0], [0, -1, 0], [0, 0, "1/2"]],
+        [_unit(3, 0, 1), _unit(3, 2, 0), _unit(3, 1, 2)],
+    ),
+}
+
+
+def _whole(L, parts) -> dict:
+    """The operators of a SPLIT instance: M0 = P0 = the sum of the parts."""
+    whole = [[sum(xs) for xs in zip(*rows)] for rows in zip(*parts)]
+    return {"L": L, "M0": whole, "P0": whole}
+
+
 # the catalog fixtures whose towers end: ad_L^j[M0] = 0 from this j on (M0 = P0)
 ENDED = {"heisenberg3": 2, "nilpotent3": 2, "nilpotent4": 3, "nilpotent5": 4, "nilpotent6": 3}
 INSTANCES = {
@@ -37,6 +60,7 @@ INSTANCES = {
     **{name: {k: getattr(catalog_instance(name), k).to_jsonable() for k in ("L", "M0", "P0")}
        for name in (*ORACLE_CATALOG, *ENDED)},
     **{f"dense{n}-seed1": dense_operators(n, 1) for n in DENSE_DIMS},
+    **{name: _whole(*split) for name, split in SPLIT.items()},
 }
 U_SAMPLES = (-2, -1, 0, 1)
 
@@ -72,11 +96,12 @@ def test_oracle_eigenvalues():
 def test_float_cal_form_within_its_tails_of_the_true_value(name, D):
     ops = INSTANCES[name]
     truth = oracle.ended_cal_form if name in ENDED else oracle.cal_form
+    m0, p0 = (SPLIT[name][1],) * 2 if name in SPLIT else (ops["M0"], ops["P0"])
     fi = make_instance(name, **{k: Operator.from_rows(v, EXACT) for k, v in ops.items()}).to_float()
     sol = solution_cal_form(fi, D)
     for u in U_SAMPLES:
         at = eval_at_u(fi, sol, u)
-        P, M = truth(ops["L"], ops["M0"], ops["P0"], at.t)
+        P, M = truth(ops["L"], m0, p0, at.t)
         m_bound = at.m_tail + _roundoff(fi.L, fi.M0, 0, at.t, D)
         p_bound = at.p_tail + at.t / 2 * _roundoff(fi.L, fi.P0, 1, at.t, D - 1)
         assert _distance(at.M, M) <= m_bound, (u, "M")
