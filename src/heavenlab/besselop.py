@@ -11,10 +11,9 @@ coefficients are always computed exactly (big-integer factorials), and float
 mode rounds each one once, where it reads it.
 
 `bessel_terms` yields those scalars and `bessel_family` lays them over a
-tower of operators, for several indices over the one tower; `bessel_coeffs`
-is one index of it with its tail.  The powers of X (`opcore.powers`) give
-J_m(tX), and the ad tower of A (`adjoint.ad_tower`) gives J_m(t ad_L)[A] in
-`prolong`.
+tower of operators, for several indices over the one tower.  The powers of X
+(`opcore.powers`) give J_m(tX), and the ad tower of A (`adjoint.ad_tower`)
+gives J_m(t ad_L)[A] in `prolong`.
 
 An exact `OperatorSeries` is a tuple of canonical Operators.  A float series
 is one (D+1, n, n) array, and a float family one (B, D+1, n, n) batch, so a
@@ -60,12 +59,17 @@ from .report import VerificationReport, make_record
 
 
 class TailBound:
-    """Upper bound on the norm of everything a truncation dropped."""
+    """Upper bound on the norm of everything a truncation dropped at t,
+    computed when `value` is read, so a check that reads none computes none."""
 
-    __slots__ = ("value",)
+    __slots__ = ("tail_fn", "t")
 
-    def __init__(self, value: float):
-        self.value = float(value)
+    def __init__(self, tail_fn, t):
+        self.tail_fn, self.t = tail_fn, t
+
+    @property
+    def value(self) -> float:
+        return self.tail_fn(abs(float(self.t))) if self.tail_fn is not None else 0.0
 
 
 class OperatorSeries:
@@ -233,7 +237,8 @@ def _tower_sum(tower: Sequence[Operator], terms, t) -> Operator:
 
 
 def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
-    """The series at t, taken in the series' mode by `mode_scalar`, and its tail.
+    """The series at t, taken in the series' mode by `mode_scalar`, and its
+    tail, which `TailBound` computes only when it is read.
 
     Exact mode sums c_j t^j over the nonzero coefficients only (`_tower_sum`).
     Exact arithmetic makes this equal to Horner's rule, and an exact Operator
@@ -253,9 +258,7 @@ def series_eval(s: OperatorSeries, t) -> tuple[Operator, TailBound]:
         for j in range(s.degree - 1, -1, -1):
             acc = acc * t + arr[j]
         acc = Operator._checked(acc)
-    t_abs = abs(float(t))
-    tail = TailBound(s.tail_fn(t_abs) if s.tail_fn is not None else 0.0)
-    return acc, tail
+    return acc, TailBound(s.tail_fn, t)
 
 
 def bessel_terms(m: int, D: int) -> Iterator[tuple[int, Fraction]]:
@@ -369,25 +372,19 @@ def bessel_family(tower: Sequence[Operator], ms: Sequence[int], D: int):
     return OperatorSeries._checked(arr)
 
 
-def bessel_coeffs(tower: Sequence[Operator], m: int, D: int, rate: float, norm: float):
-    """J_m laid over `tower` through degree D (`bessel_family`), with its
-    tail.  `rate` and `norm` bound the tower, ||tower[j]|| <= norm * rate^j,
-    so the dropped terms at |t| are at most norm * `bessel_tail`(|t| rate / 2,
-    m, D)."""
-    s = bessel_family(tower, (m,), D)[0]
-    s.tail_fn = lambda t_abs: norm * bessel_tail(t_abs * rate / 2.0, m, D)
-    return s
-
-
 def bessel_series(X: Operator, m: int, D: int) -> OperatorSeries:
     """J_m(tX) truncated at t-degree D.
 
     Negative index via J_{-k} = (-1)^k J_k.  When D < |m| every stored
-    coefficient is zero, which is still the correct truncation.
+    coefficient is zero, which is still the correct truncation.  The dropped
+    terms at |t| are at most `bessel_tail`(|t| ||X|| / 2, m, D), since
+    ||X^j|| <= ||X||^j; the norm is taken when the tail is read.
     """
     if D < 0:
         raise ValueError("degree must be >= 0")
-    return bessel_coeffs(operator_powers(X, D), m, D, frobenius(X), 1.0)
+    s = bessel_family(operator_powers(X, D), (m,), D)[0]
+    s.tail_fn = lambda t_abs: bessel_tail(t_abs * frobenius(X) / 2.0, m, D)
+    return s
 
 
 def bessel_eval(X_powers: list[Operator], m: int, t) -> Operator:

@@ -42,8 +42,8 @@ from .adjoint import (
 )
 from .besselop import (
     OperatorSeries,
-    bessel_coeffs,
     bessel_eval,
+    bessel_family,
     bessel_series,
     bessel_tail,
     scalar_bessel_majorant,
@@ -138,8 +138,10 @@ def cal_bessel(ctx: AdjointContext, A: Operator, nu: int, D: int) -> OperatorSer
         raise ValueError("degree must be >= 0")
     if A.dim != ctx.L.dim or A.mode != ctx.L.mode:
         raise DimensionMismatchError("A incompatible with context")
-    # ||ad_L^j[A]|| <= (2||L||)^j ||A||
-    return bessel_coeffs(ad_tower(ctx, A, D), nu, D, 2.0 * frobenius(ctx.L), frobenius(A))
+    s = bessel_family(ad_tower(ctx, A, D), (nu,), D)[0]
+    # ||ad_L^j[A]|| <= (2||L||)^j ||A||; the norms are taken when the tail is read
+    s.tail_fn = lambda t: frobenius(A) * bessel_tail(t * (2.0 * frobenius(ctx.L)) / 2.0, nu, D)
+    return s
 
 
 class CouplingError(ValueError):
@@ -325,14 +327,13 @@ def ode_check(inst: ProlongationInstance, D: int) -> VerificationReport:
     up to `_ode_roundoff` in float mode.
     """
     sol = solution_cal_form(inst, D)
-    twoL = 2.0 * frobenius(inst.L)
     records = []
     for kind, S, eq in (
         ("P2", sol.p, "t P'' - P' + t ad_L^2[P] = 0"),
         ("M2", sol.m, "t M'' + M' + t ad_L^2[M] = 0"),
     ):
         residual = ode_residual(S, kind, sol.ctx).max_coeff_norm()
-        bound = 0.0 if inst.mode == EXACT else _ode_roundoff(S, twoL)
+        bound = 0.0 if inst.mode == EXACT else _ode_roundoff(S, 2.0 * frobenius(inst.L))
         records.append(
             make_record(
                 f"{kind}-coefficients",

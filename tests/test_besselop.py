@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavenlab import besselop
+from heavenlab.adjoint import AdjointContext
 from heavenlab.besselop import (
     RELATIONS,
     OperatorSeries,
-    bessel_coeffs,
     bessel_eval,
     bessel_family,
     bessel_series,
@@ -37,7 +37,7 @@ from heavenlab.opcore import (
     frobenius,
     powers,
 )
-from heavenlab.prolong import make_instance, solution_cal_form
+from heavenlab.prolong import cal_bessel, make_instance, solution_cal_form
 
 from _helpers import random_float_operator, random_rational_operator
 
@@ -389,7 +389,7 @@ def float_towers(draw):
 @given(float_towers(), st.integers(-6, 6))
 def test_float_bessel_coeffs_match_per_degree_products(tower_draw, m):
     n, tower, D = tower_draw
-    got = bessel_coeffs(tower, m, D, 1.0, 1.0)
+    got = bessel_family(tower, (m,), D)[0]
     want = np.zeros((D + 1, n, n), np.result_type(*(c.data.dtype for c in tower)))
     for deg, q in bessel_terms(m, D):
         want[deg] = tower[deg].data * float(q)
@@ -534,20 +534,28 @@ def test_bessel_eval_direct_vs_series_route():
 
 
 def test_bessel_coeffs_over_any_tower():
-    """Coefficients are the tower's entries scaled by bessel_terms, zero
-    elsewhere, and the tail is norm * bessel_tail at |t| rate / 2."""
+    """Coefficients of one index of a family are the tower's entries scaled
+    by bessel_terms, zero elsewhere.  The tail of J_m(tX) is bessel_tail at
+    |t| ||X|| / 2, and that of J_nu(t ad_L)[A] is ||A|| times bessel_tail at
+    |t| 2||L|| / 2."""
     rng = random.Random(310)
     for mode, make in ((EXACT, random_rational_operator), (FLOAT, random_float_operator)):
         tower = [make(rng, 2) for _ in range(9)]
         for m in (-3, 0, 1, 2):
-            series = bessel_coeffs(tower, m, 8, 3.0, 0.5)
+            series = bessel_family(tower, (m,), 8)[0]
             terms = dict(bessel_terms(m, 8))
             assert series.degree == 8 and series.mode == mode
             for deg, c in enumerate(series.coeffs):
                 want = tower[deg].scale(terms[deg]) if deg in terms else Operator.zero(2, mode)
                 assert c == want, (mode, m, deg)
-            for t_abs in (0.0, 0.5, 2.0):
-                assert series.tail_fn(t_abs) == 0.5 * bessel_tail(t_abs * 3.0 / 2.0, m, 8)
+        X, L, A = (make(rng, 2) for _ in range(3))
+        for t_abs in (0.0, 0.5, 2.0):
+            for m in (-3, 0, 1, 2):
+                want = bessel_tail(t_abs * frobenius(X) / 2.0, m, 8)
+                assert bessel_series(X, m, 8).tail_fn(t_abs) == want, (mode, m)
+            for nu in (0, 1):
+                want = frobenius(A) * bessel_tail(t_abs * (2.0 * frobenius(L)) / 2.0, nu, 8)
+                assert cal_bessel(AdjointContext(L), A, nu, 8).tail_fn(t_abs) == want, (mode, nu)
 
 
 def test_bessel_terms_match_sympy_series():
@@ -610,7 +618,7 @@ def test_float_family_rows_match_per_index_series(tower_draw, ms):
         want = np.zeros((D + 1, n, n), dtype)
         for deg, q in bessel_terms(m, D):
             want[deg] = tower[deg].data * float(q)
-        single = bessel_coeffs(tower, m, D, 1.0, 1.0)
+        single = bessel_family(tower, (m,), D)[0]
         assert family[i]._arr.tobytes() == want.tobytes() == single._arr.tobytes(), m
 
 

@@ -563,6 +563,11 @@ def test_main_records_float_conversion_overflow_per_suite(tmp_path, capsys, mode
         assert check["check_id"] == "numeric-breakdown" and _TOO_LARGE in check["detail"]
     compat = [c for c in checks if c["suite"] == "compatibility"]
     assert len(compat) == 2 and all(c["verdict"] == "pass" for c in compat)
+    if mode == "exact":
+        # exact coefficient checks read no tail, so they take no float norm of L
+        for suite in ("ode-residuals", "initial-conditions"):
+            records = [c for c in checks if c["suite"] == suite]
+            assert records and all(c["verdict"] == "pass" and c["residual"] == 0.0 for c in records)
 
 
 def test_main_rejects_singular_B(tmp_path, capsys):

@@ -153,6 +153,14 @@ def test_coefficient_arithmetic_and_diff():
     assert (e2 * x).diff("u") == R.const(2) * (e2 * x)
 
 
+def test_two_form_text():
+    """A wedge with several terms is bracketed, one with a single term is not,
+    and e^{s u} reads e^u, e^-u or e^2u."""
+    c = R.exp(1) + R.var("x") * R.exp(-1) + R.monomial({"y": 2}, 2, Fraction(-1, 2))
+    form = form_from_wedge(R, ["x", "y"], c) + form_from_wedge(R, ["u", "z"], R.exp(2))
+    assert str(form) == "(x*e^-u + e^u + -1/2*y^2*e^2u) dx^dy + -1*e^2u dz^du"
+
+
 def test_rings_do_not_mix():
     other = Ring(("x", "y"))
     with pytest.raises(ValueError):

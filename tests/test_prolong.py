@@ -20,6 +20,8 @@ from heavenlab.prolong import (
     compatibility_check,
     eval_at_u,
     initial_condition_check,
+    make_instance,
+    ode_check,
     ode_residual,
     prolongation_residual,
     scalar_check,
@@ -347,6 +349,33 @@ def test_initial_conditions_all_catalog():
         rep = initial_condition_check(catalog_instance(name), 8)
         assert rep.all_passed(), name
         assert all(r.bound == 0.0 for r in rep.records)
+
+
+# 10^400 is an exact entry that no float holds: an exact check that took a
+# float norm of this L, or of a series of it, would raise OverflowError
+_E01 = Operator.unit(2, 0, 1)
+_HUGE = make_instance("huge", Operator.diag([10**400, 0]), _E01, _E01)
+
+
+@pytest.mark.parametrize("check, count", [(ode_check, 2), (initial_condition_check, 4)])
+def test_exact_cal_form_checks_compute_no_float(check, count):
+    rep = check(_HUGE, 8)
+    assert [(r.residual, r.bound, r.verdict) for r in rep.records] == [(0.0, 0.0, "pass")] * count
+
+
+def test_exact_scalar_check_computes_no_float():
+    # the t samples are Fractions, as a scenario's are
+    rep = scalar_check(10**400, 1, 1, (Fraction(1, 2), Fraction(1), Fraction(2)), 8)
+    assert [(r.residual, r.bound, r.verdict) for r in rep.records] == [(0.0, 0.0, "pass")] * 6
+
+
+def test_exact_cal_form_tail_is_deferred_not_dropped():
+    """The tail of a huge exact series is computed when it is read, and only then overflows."""
+    sol = solution_cal_form(_HUGE, 8)
+    for series in (sol.p, sol.m):
+        _value, tail = series_eval(series, 1)
+        with pytest.raises(OverflowError):
+            tail.value
 
 
 def test_heavenly_variable_construction():
